@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exact_linalg import Vector, primitive_vector, span, vector
+from .exact_linalg import IntRows, Vector, int_rank, int_residual, primitive_vector, vector
 
 
 class ArrangementError(ValueError):
@@ -99,7 +99,7 @@ def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
 
 def compute_m(a: Arrangement) -> int:
     """Projective dimension of the common intersection of all hyperplanes."""
-    return a.n - span(a.form_vectors(), a.n + 1).rank
+    return a.n - int_rank(f.coeffs for f in a.forms)
 
 
 def compute_s(a: Arrangement) -> int:
@@ -110,32 +110,24 @@ def compute_s(a: Arrangement) -> int:
     whose rank reaches n+1; a dependent form is always taken (it enlarges the
     subset without changing the rank).
     """
-    vecs = a.form_vectors()
-    r, cap = len(vecs), a.n
+    coeffs = [f.coeffs for f in a.forms]
+    r, cap = len(coeffs), a.n
     best = 0
 
-    def reduce(rows: list[list[Fraction]], v: Vector) -> list[Fraction]:
-        res = list(v)
-        for row in rows:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if res[pivot] != 0:
-                factor = res[pivot] / row[pivot]
-                res = [x - factor * y for x, y in zip(res, row)]
-        return res
-
-    def dfs(i: int, rows: list[list[Fraction]], count: int) -> None:
+    def dfs(i: int, rows: IntRows, count: int) -> None:
         nonlocal best
         if count + (r - i) <= best:
             return
         if i == r:
             best = max(best, count)
             return
-        res = reduce(rows, vecs[i])
-        if all(x == 0 for x in res):
+        res = int_residual(rows, coeffs[i])
+        pivot = next((j for j, x in enumerate(res) if x), None)
+        if pivot is None:
             dfs(i + 1, rows, count + 1)  # free: rank unchanged
         else:
             if len(rows) < cap:
-                dfs(i + 1, rows + [res], count + 1)
+                dfs(i + 1, rows + [(pivot, res)], count + 1)
             dfs(i + 1, rows, count)
 
     dfs(0, [], 0)
@@ -144,9 +136,9 @@ def compute_s(a: Arrangement) -> int:
 
 def is_general_position(a: Arrangement) -> bool:
     """Every subset of min(r, n+1) forms is linearly independent."""
-    vecs = a.form_vectors()
+    coeffs = [f.coeffs for f in a.forms]
     k = min(a.r, a.n + 1)
-    return all(span(combo, a.n + 1).rank == k for combo in combinations(vecs, k))
+    return all(int_rank(combo) == k for combo in combinations(coeffs, k))
 
 
 def profile(a: Arrangement) -> ArrangementProfile:

@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 input error, 2 internal assertion failure
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 import time
@@ -94,7 +93,7 @@ def build_report(
     report = dimension_search.achievable_dimensions(
         a, use_brute_force=use_brute_force, max_parts=max_parts
     )
-    verdicts = corollaries.verdict(a)
+    verdicts = corollaries.verdict(a, prof.s)
     doc: dict = {
         "profile": {
             "n": a.n,
@@ -133,7 +132,7 @@ def build_report(
             ],
             "verified": w.verification.ok,
         }
-    doc["cross_check"] = corollaries.cross_check(a, report)
+    doc["cross_check"] = corollaries.cross_check(a, report, verdicts)
     return doc
 
 
@@ -183,11 +182,6 @@ def main():
 @click.option("--timing", is_flag=True, help="Include wall-clock timing in the report.")
 def cmd_analyze(input_path, no_witness, brute_force, max_parts_limit, fmt, timing):
     """Analyze an arrangement from INPUT_PATH (or '-' for stdin)."""
-    workers = os.environ.get("HYPARC_WORKERS")
-    if workers is not None and (not workers.isdigit() or int(workers) < 1):
-        click.echo(f"input error: HYPARC_WORKERS={workers!r} is not a positive integer", err=True)
-        sys.exit(EXIT_INPUT)
-    # Partition checks run on a single worker; any positive cap is honored.
     try:
         if input_path == "-":
             text = sys.stdin.read()

@@ -2,11 +2,16 @@
 
 * Finiteness / hyperbolicity: the common intersection is empty and, for
   every proper nonempty subset of the forms, some form lies in the span of
-  the subset intersected with the span of its complement.  This is decided
-  by a direct bipartition scan, independent of the search module.
+  the subset intersected with the span of its complement.  Equivalently, no
+  bipartition has two flats as its sides (see ``dimension_search``).  This
+  is decided by a direct bipartition scan of its own, independent of the
+  search module, and runs once per analysis.
 * General-position bound: when more hyperplanes than can meet at a point,
   the maximal dimension is at most floor(s / (r - s)), with equality for
   arrangements in general position.
+
+``verdict`` computes both once; ``cross_check`` receives that verdict and
+compares it with the search result, without recomputing either.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional
 
 from .arrangement import Arrangement, compute_m, compute_s
 from .dimension_search import DimensionReport
-from .exact_linalg import contains, intersect, span
+from .exact_linalg import is_flat
 
 BIPARTITION_SCAN_LIMIT = 22
 
@@ -33,7 +38,8 @@ def finiteness_verdict(a: Arrangement) -> bool:
 
     Equivalently the complement is Brody hyperbolic.  Scans every proper
     nonempty subset (up to complement symmetry) with early exit on the first
-    subset whose span/complement-span overlap misses all forms.
+    subset whose span/complement-span overlap misses all forms, i.e. the
+    first subset that is a flat with a flat complement.
     """
     if a.r > BIPARTITION_SCAN_LIMIT:
         raise ValueError(
@@ -41,32 +47,31 @@ def finiteness_verdict(a: Arrangement) -> bool:
         )
     if compute_m(a) != -1:
         return False
-    vecs = a.form_vectors()
+    coeffs = [f.coeffs for f in a.forms]
     r = a.r
     others = list(range(1, r))
     for mask in range(2 ** (r - 1) - 1):
-        side = [0] + [others[k] for k in range(r - 1) if mask >> k & 1]
-        comp = [i for i in range(r) if i not in set(side)]
-        overlap = intersect(
-            span([vecs[i] for i in side], a.n + 1),
-            span([vecs[i] for i in comp], a.n + 1),
-        )
-        if overlap.is_zero or not any(contains(overlap, v) for v in vecs):
+        side = {0} | {others[k] for k in range(r - 1) if mask >> k & 1}
+        comp = [i for i in range(r) if i not in side]
+        if is_flat(coeffs, side) and is_flat(coeffs, comp):
             return False
     return True
 
 
+def _bound(r: int, s: int) -> Optional[int]:
+    return s // (r - s) if r > s else None
+
+
 def general_position_bound(a: Arrangement) -> Optional[int]:
     """floor(s / (r - s)) when r > s, else None."""
-    s = compute_s(a)
-    if a.r <= s:
-        return None
-    return s // (a.r - s)
+    return _bound(a.r, compute_s(a))
 
 
-def verdict(a: Arrangement) -> Verdict:
-    s = compute_s(a)
-    bound = general_position_bound(a)
+def verdict(a: Arrangement, s: Optional[int] = None) -> Verdict:
+    """Finiteness and general-position verdicts; ``s`` as from ``profile``."""
+    if s is None:
+        s = compute_s(a)
+    bound = _bound(a.r, s)
     return Verdict(
         finiteness=finiteness_verdict(a),
         gp_bound=bound,
@@ -74,26 +79,24 @@ def verdict(a: Arrangement) -> Verdict:
     )
 
 
-def cross_check(a: Arrangement, report: DimensionReport) -> list[str]:
+def cross_check(a: Arrangement, report: DimensionReport, verdicts: Verdict) -> list[str]:
     """Consistency checks between the search result and the corollaries.
 
     Returns a list of discrepancy descriptions; an empty list means the two
     independent code paths agree.
     """
     discrepancies: list[str] = []
-    s = compute_s(a)
-    finite = finiteness_verdict(a)
-    if finite != (report.d_max <= 0):
+    if verdicts.finiteness != (report.d_max <= 0):
         discrepancies.append(
-            f"finiteness verdict {finite} disagrees with d_max={report.d_max}"
+            f"finiteness verdict {verdicts.finiteness} disagrees with d_max={report.d_max}"
         )
-    if a.r > s:
-        bound = s // (a.r - s)
+    bound = verdicts.gp_bound
+    if bound is not None:
         if report.d_max > bound:
             discrepancies.append(
-                f"d_max={report.d_max} exceeds the bound {bound} (s={s}, r={a.r})"
+                f"d_max={report.d_max} exceeds the bound {bound} (r={a.r})"
             )
-        if s == a.n and report.d_max != bound:
+        if verdicts.gp_bound_achieved and report.d_max != bound:
             discrepancies.append(
                 f"general position: d_max={report.d_max} should equal the bound {bound}"
             )

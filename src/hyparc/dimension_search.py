@@ -16,6 +16,11 @@ Key structural facts used by the search:
   invalid.  The search precomputes all bipartition verdicts and uses them to
   discard candidates before the full check; if no bipartition is valid, no
   partition with >= 2 blocks can be.
+* A bipartition (S, E∖S) is valid iff S and E∖S are both flats, i.e. each
+  side contains every form in its own span.  Proof: for p = 2,
+  W = span(S) ∩ span(E∖S), and a form of S always lies in span(S), so it
+  lies in W iff it lies in span(E∖S); likewise for a form of E∖S.  The
+  pre-pass therefore needs only integer rank tests, no intersections.
 
 Partitions are enumerated via restricted-growth strings in lexicographic
 order, which fixes the reported witness deterministically.
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .arrangement import Arrangement, compute_m
-from .exact_linalg import InternalError, Subspace, contains, span, zero_space
+from .exact_linalg import InternalError, Subspace, contains, intersect, is_flat, span
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -85,16 +90,6 @@ def blocks_of(rgs: tuple[int, ...]) -> Blocks:
     return tuple(tuple(b) for b in blocks)
 
 
-def rgs_of(blocks: Blocks) -> tuple[int, ...]:
-    r = sum(len(b) for b in blocks)
-    labels = {}
-    for idx in range(r):
-        for lab, block in enumerate(sorted(blocks, key=min)):
-            if idx in block:
-                labels[idx] = lab
-    return tuple(labels[i] for i in range(r))
-
-
 class SpanCache:
     """Per-arrangement memo of block spans and block/complement overlaps."""
 
@@ -116,8 +111,6 @@ class SpanCache:
         """(block span) intersected with (span of all other forms)."""
         cached = self._overlap.get(block)
         if cached is None:
-            from .exact_linalg import intersect
-
             cached = intersect(
                 self.span_of(block), self.span_of(self.all_indices - block)
             )
@@ -208,20 +201,18 @@ def max_valid_parts(
         return None, None
     cache = SpanCache(a)
 
-    # Verdicts for every bipartition, keyed by the side containing index 0.
-    # A bipartition's W is exactly the overlap of either side.  Skipped for
-    # large r, where the 2^(r-1) pre-pass would dominate.
+    # Verdicts for every bipartition, keyed by the side containing index 0:
+    # valid iff both sides are flats.  Skipped for large r, where the
+    # 2^(r-1) pre-pass would dominate.
     bip_ok: Optional[dict[frozenset, bool]] = None
     if r <= 16:
         bip_ok = {}
         any_valid = False
+        coeffs = [f.coeffs for f in a.forms]
         others = list(range(1, r))
         for mask in range(2 ** (r - 1) - 1):  # exclude side == all indices
             side = frozenset([0] + [others[k] for k in range(r - 1) if mask >> k & 1])
-            overlap = cache.overlap(side)
-            ok = overlap.is_zero or not any(
-                contains(overlap, v) for v in cache.vectors
-            )
+            ok = is_flat(coeffs, side) and is_flat(coeffs, cache.all_indices - side)
             bip_ok[side] = ok
             any_valid = any_valid or ok
         if not any_valid:

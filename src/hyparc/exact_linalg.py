@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``fractions.Fraction``.  A subspace is stored by its
-reduced row-echelon basis (every pivot 1, pivots strictly increasing, zeros
-above and below each pivot), which makes the representation canonical: two
-subspaces are equal iff their basis tuples are equal.  No floating point is
-used anywhere; every operation is exact.
+Two representations, both exact; no floating point is used anywhere.
+
+* Integer echelon rows answer yes/no rank questions (rank, span membership,
+  flats).  The forms are primitive integer vectors already, so elimination
+  is fraction-free: each step cross-multiplies and divides the result by the
+  gcd of its entries, which keeps every row a primitive integer vector.
+* ``Subspace``, a canonical reduced row-echelon basis of ``Fraction``
+  vectors (every pivot 1, pivots strictly increasing, zeros above and below
+  each pivot), is used for everything that reaches the output: two subspaces
+  are equal iff their basis tuples are equal.
 
 Covector spaces (linear forms) and point spaces share this machinery; the
 semantic split is maintained by the callers (see ``zero_set``, which maps a
@@ -80,6 +85,59 @@ def _rref(rows: Iterable[Sequence[Fraction]], width: int) -> list[list[Fraction]
         if row == len(mat):
             break
     return mat[:row]
+
+
+# Integer echelon rows: (pivot column, primitive row) in insertion order.
+# Each row is zero at the pivot column of every earlier row, so eliminating
+# in insertion order clears every pivot column.
+IntRows = list[tuple[int, tuple[int, ...]]]
+
+
+def int_residual(rows: IntRows, v: Sequence[int]) -> tuple[int, ...]:
+    """Fraction-free residual of the integer vector v against echelon rows.
+
+    The residual is zero iff v lies in the span of the rows.
+    """
+    res = tuple(v)
+    for pivot, row in rows:
+        c = res[pivot]
+        if c:
+            p = row[pivot]
+            res = tuple(p * x - c * y for x, y in zip(res, row))
+            g = gcd(*res)
+            if g > 1:
+                res = tuple(x // g for x in res)
+    return res
+
+
+def int_echelon(vectors: Iterable[Sequence[int]]) -> IntRows:
+    """Integer echelon rows spanning the same space as the integer vectors."""
+    rows: IntRows = []
+    for v in vectors:
+        res = int_residual(rows, v)
+        pivot = next((i for i, x in enumerate(res) if x), None)
+        if pivot is not None:
+            g = gcd(*res)
+            rows.append((pivot, tuple(x // g for x in res) if g > 1 else res))
+    return rows
+
+
+def int_rank(vectors: Iterable[Sequence[int]]) -> int:
+    """Rank of a list of integer vectors."""
+    return len(int_echelon(vectors))
+
+
+def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
+    """True when no vector outside ``side`` lies in the span of those inside.
+
+    ``side`` holds indices into ``vectors``; such a set is a flat of the
+    vectors' matroid.
+    """
+    inside = set(side)
+    rows = int_echelon(vectors[i] for i in inside)
+    return all(
+        any(int_residual(rows, v)) for i, v in enumerate(vectors) if i not in inside
+    )
 
 
 @dataclass(frozen=True)

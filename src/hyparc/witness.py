@@ -93,8 +93,7 @@ def _restrictions(point_basis: Sequence[Vector], forms: Sequence[Vector]) -> lis
     ]
 
 
-def _cond_check(a: Arrangement, point_basis: Sequence[Vector]) -> CondCheck:
-    restrictions = _restrictions(point_basis, a.form_vectors())
+def _cond_check(restrictions: Sequence[Vector], param_dim: int) -> CondCheck:
     vanishing = next(
         (i for i, rho in enumerate(restrictions) if all(c == 0 for c in rho)), None
     )
@@ -113,7 +112,7 @@ def _cond_check(a: Arrangement, point_basis: Sequence[Vector]) -> CondCheck:
     classes = tuple(
         sorted(((cls, tuple(idxs)) for cls, idxs in groups.items()), key=lambda c: c[1])
     )
-    class_span = span([vector(cls) for cls, _ in classes], len(point_basis))
+    class_span = span([vector(cls) for cls, _ in classes], param_dim)
     independent = class_span.rank == len(classes)
     return CondCheck(
         ok=independent,
@@ -128,19 +127,18 @@ def _cond_check(a: Arrangement, point_basis: Sequence[Vector]) -> CondCheck:
 def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
     """Normalize a point parametrization and attach its verification record."""
     points = span([vector(row) for row in point_rows], a.n + 1)
-    check = _cond_check(a, points.basis)
     restrictions = tuple(_restrictions(points.basis, a.form_vectors()))
     return WitnessSubspace(
         point_basis=points.basis,
         dim=points.rank - 1,
         restrictions=restrictions,
-        verification=check,
+        verification=_cond_check(restrictions, points.rank),
     )
 
 
 def verify_cond(a: Arrangement, y: WitnessSubspace) -> CondCheck:
     """Re-run the witness verification from the point basis alone."""
-    return _cond_check(a, y.point_basis)
+    return _cond_check(_restrictions(y.point_basis, a.form_vectors()), len(y.point_basis))
 
 
 def generic_avoiding_extension(

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from hyparc.arrangement import Arrangement, load
 from hyparc.exact_linalg import primitive_vector
 
@@ -19,3 +21,18 @@ def random_arrangement(rng, n: int, r: int) -> Arrangement:
 def moment_curve_arrangement(n: int, r: int) -> Arrangement:
     """r general-position forms (1, t, t^2, ..., t^n) at t = 1..r."""
     return load(n, [[t**k for k in range(n + 1)] for t in range(1, r + 1)])
+
+
+@st.composite
+def arrangements(draw, max_r=8):
+    """Arrangements with small entries, so many forms are dependent."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n + 1, max_size=n + 1)
+            .filter(any),
+            min_size=1,
+            max_size=max_r,
+        )
+    )
+    return load(n, rows)

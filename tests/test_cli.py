@@ -117,14 +117,9 @@ class TestAnalyze:
         assert result.exit_code == 1
 
     def test_cross_check_exit_code(self, runner, monkeypatch):
-        monkeypatch.setattr(cli.corollaries, "cross_check", lambda a, rep: ["fake"])
+        monkeypatch.setattr(cli.corollaries, "cross_check", lambda a, rep, v: ["fake"])
         result = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
         assert result.exit_code == 3
-
-    def test_worker_env_validation(self, runner, monkeypatch):
-        monkeypatch.setenv("HYPARC_WORKERS", "zero")
-        result = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
-        assert result.exit_code == 1
 
 
 class TestGenerate:

@@ -4,8 +4,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
-from hyparc.arrangement import load
+from hyparc.arrangement import Arrangement, load
 from hyparc.corollaries import (
     cross_check,
     finiteness_verdict,
@@ -13,8 +14,28 @@ from hyparc.corollaries import (
     verdict,
 )
 from hyparc.dimension_search import achievable_dimensions
+from hyparc.exact_linalg import contains, intersect, span
 
-from .corpus import moment_curve_arrangement, random_arrangement
+from .corpus import arrangements, moment_curve_arrangement, random_arrangement
+
+
+def zassenhaus_finiteness(a: Arrangement) -> bool:
+    """Oracle: the finiteness scan by Fraction spans and Zassenhaus intersections."""
+    vecs = a.form_vectors()
+    if span(vecs, a.n + 1).rank != a.n + 1:
+        return False
+    r = a.r
+    others = list(range(1, r))
+    for mask in range(2 ** (r - 1) - 1):
+        side = [0] + [others[k] for k in range(r - 1) if mask >> k & 1]
+        comp = [i for i in range(r) if i not in set(side)]
+        overlap = intersect(
+            span([vecs[i] for i in side], a.n + 1),
+            span([vecs[i] for i in comp], a.n + 1),
+        )
+        if overlap.is_zero or not any(contains(overlap, v) for v in vecs):
+            return False
+    return True
 
 
 class TestFinitenessVerdict:
@@ -43,6 +64,18 @@ class TestFinitenessVerdict:
             assert finiteness_verdict(a) == (rep.d_max <= 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(arrangements(max_r=9))
+def test_finiteness_matches_zassenhaus_scan(a):
+    assert finiteness_verdict(a) == zassenhaus_finiteness(a)
+
+
+def test_finiteness_matches_zassenhaus_on_general_position():
+    for n, r in [(1, 3), (2, 4), (2, 5), (3, 7), (3, 8), (4, 9)]:
+        a = moment_curve_arrangement(n, r)
+        assert finiteness_verdict(a) == zassenhaus_finiteness(a) == (r >= 2 * n + 1)
+
+
 class TestGeneralPositionBound:
     def test_four_lines(self):
         assert general_position_bound(moment_curve_arrangement(2, 4)) == 1
@@ -62,17 +95,23 @@ class TestCrossCheck:
         for n in (2, 3):
             for r in range(n + 1, n + 4):
                 a = moment_curve_arrangement(n, r)
-                assert cross_check(a, achievable_dimensions(a)) == []
+                assert cross_check(a, achievable_dimensions(a), verdict(a)) == []
 
     def test_fabricated_wrong_report(self):
         a = moment_curve_arrangement(2, 4)
         rep = achievable_dimensions(a)
         wrong = replace(rep, d_max=2)
-        assert cross_check(a, wrong)
+        assert cross_check(a, wrong, verdict(a))
+
+    def test_flipped_finiteness_verdict(self):
+        a = moment_curve_arrangement(2, 4)
+        v = verdict(a)
+        flipped = replace(v, finiteness=not v.finiteness)
+        assert cross_check(a, achievable_dimensions(a), flipped)
 
     def test_r_le_s_only_finiteness_applies(self):
         a = load(3, [[1, 0, 0, 0], [0, 1, 0, 0]])  # r = s = 2
-        assert cross_check(a, achievable_dimensions(a)) == []
+        assert cross_check(a, achievable_dimensions(a), verdict(a)) == []
 
 
 class TestVerdict:

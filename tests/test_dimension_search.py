@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from hyparc.arrangement import load
 from hyparc.dimension_search import (
@@ -14,9 +15,9 @@ from hyparc.dimension_search import (
     max_valid_parts,
     partitions_rgs,
 )
-from hyparc.exact_linalg import span, zero_space
+from hyparc.exact_linalg import is_flat, span, zero_space
 
-from .corpus import moment_curve_arrangement, random_arrangement
+from .corpus import arrangements, moment_curve_arrangement, random_arrangement
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 # canonical order: 0:(0,0,1)  1:(0,1,0)  2:(1,0,0)  3:(1,1,1)
@@ -134,6 +135,18 @@ class TestBruteForce:
         for _ in range(40):
             a = random_arrangement(rng, rng.randint(1, 4), rng.randint(2, 6))
             assert brute_force_max_parts(a) == max_valid_parts(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements())
+def test_flat_bipartitions_match_check_partition(a):
+    """Both sides flats <=> the Zassenhaus criterion, on every bipartition."""
+    coeffs = [f.coeffs for f in a.forms]
+    for mask in range(2 ** (a.r - 1) - 1):
+        side = (0,) + tuple(i for i in range(1, a.r) if mask >> (i - 1) & 1)
+        comp = tuple(i for i in range(a.r) if i not in side)
+        flats = is_flat(coeffs, side) and is_flat(coeffs, comp)
+        assert flats == check_partition(a, (side, comp)).valid
 
 
 class TestCoarsening:

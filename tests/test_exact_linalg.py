@@ -6,6 +6,7 @@ annihilator-based implementation kept local to this file.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,11 @@ from hyparc.exact_linalg import (
     Subspace,
     contains,
     full_space,
+    int_echelon,
+    int_rank,
+    int_residual,
     intersect,
+    is_flat,
     nullspace,
     primitive_vector,
     solve_coordinates,
@@ -190,3 +195,60 @@ def test_zero_set_rank_complement(rows):
 def test_zassenhaus_agrees_with_annihilator(rows_u, rows_v):
     u, v = span(rows_u, 4), span(rows_v, 4)
     assert intersect(u, v) == intersect_via_annihilator(u, v)
+
+
+# Integer echelon kernel against the canonical Fraction RREF.  Entries mix
+# small values (many dependencies), zero rows and coefficients >= 10^6.
+int_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**9), max_value=10**9),
+)
+
+
+def int_matrix_strategy(width):
+    row = st.one_of(
+        st.just([0] * width),
+        st.lists(int_entries, min_size=width, max_size=width),
+    )
+    return st.lists(row, min_size=0, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix_strategy(4), st.lists(int_entries, min_size=6, max_size=6),
+       st.lists(int_entries, min_size=4, max_size=4))
+def test_int_kernel_agrees_with_span(rows, coeffs, outside):
+    u = span(rows, 4)
+    echelon = int_echelon(rows)
+    assert int_rank(rows) == len(echelon) == u.rank
+    combo = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(4)]
+    for x in (combo, outside):
+        assert (not any(int_residual(echelon, x))) == contains(u, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrix_strategy(3), st.sets(st.integers(min_value=0, max_value=5)))
+def test_is_flat_agrees_with_contains(rows, side):
+    side = {i for i in side if i < len(rows)}
+    u = span([rows[i] for i in side], 3)
+    expected = not any(
+        contains(u, v) for i, v in enumerate(rows) if i not in side
+    )
+    assert is_flat(rows, side) == expected
+
+
+class TestIntegerKernel:
+    def test_large_coefficients(self):
+        big = 10**6 + 3
+        rows = [(big, -big, 1), (1, 1, -(10**7))]
+        echelon = int_echelon(rows)
+        assert len(echelon) == 2
+        assert not any(int_residual(echelon, (big + 2, 2 - big, 1 - 2 * 10**7)))
+        assert any(int_residual(echelon, (0, 0, 1)))
+
+    def test_rows_are_primitive(self):
+        for _pivot, row in int_echelon([(2, 4, 6), (3, 5, 7), (0, 0, 9)]):
+            assert gcd(*row) == 1
+
+    def test_zero_rows_add_no_rank(self):
+        assert int_rank([(0, 0, 0), (0, 0, 0)]) == 0
+        assert int_rank([(0, 0), (1, -2), (0, 0), (-3, 6)]) == 1
