@@ -7,7 +7,9 @@ complement), and produce a certified witness subspace of the maximal
 dimension.
 """
 
-from .arrangement import Arrangement, ArrangementProfile, LinearForm, load, profile
+from .arrangement import (
+    Arrangement, ArrangementProfile, LinearForm, RefusedError, load, profile
+)
 from .corollaries import Verdict, cross_check, finiteness_verdict, general_position_bound
 from .dimension_search import (
     DimensionReport,
@@ -41,6 +43,7 @@ __all__ = [
     "Arrangement",
     "ArrangementProfile",
     "LinearForm",
+    "RefusedError",
     "load",
     "profile",
     "Verdict",

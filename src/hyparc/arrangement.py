@@ -21,8 +21,15 @@ from typing import Sequence
 from .exact_linalg import IntRows, Vector, int_rank, int_residual, primitive_vector, vector
 
 
+BIPARTITION_SCAN_LIMIT = 22  # largest r whose 2^(r-1) bipartition scans run
+
+
 class ArrangementError(ValueError):
     """Invalid arrangement input (zero form, wrong arity, empty list...)."""
+
+
+class RefusedError(ValueError):
+    """Valid input beyond what the exact analysis will attempt."""
 
 
 @dataclass(frozen=True, order=True)
@@ -95,6 +102,15 @@ def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
         canonical.append(form)
     canonical.sort()
     return Arrangement(n=n, forms=tuple(canonical), warnings=tuple(warnings))
+
+
+def refuse_above_scan_limit(a: Arrangement, what: str) -> None:
+    """Raise ``RefusedError`` when ``a`` has too many forms for a bipartition scan."""
+    if a.r > BIPARTITION_SCAN_LIMIT:
+        raise RefusedError(
+            f"refused: the {what} scans all 2^(r-1) bipartitions, and r = {a.r} "
+            f"exceeds the limit of {BIPARTITION_SCAN_LIMIT}"
+        )
 
 
 def compute_m(a: Arrangement) -> int:

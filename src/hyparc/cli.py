@@ -8,8 +8,9 @@ Coefficients are integers or exact fractions written as "p/q"; floats are
 rejected.  The analyze report is deterministic: re-running on the same input
 produces byte-identical output (timing is only included on request).
 
-Exit codes: 0 success, 1 input error, 2 internal assertion failure
-(theorem-violating state, i.e. a bug), 3 cross-check discrepancy.
+Exit codes: 0 success, 1 input or usage error, 2 internal assertion failure
+(theorem-violating state, i.e. a bug), 3 cross-check discrepancy, 4 refused
+(valid input with more forms than the bipartition scans accept).
 """
 
 from __future__ import annotations
@@ -19,20 +20,19 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import click
 
 from . import corollaries, dimension_search, witness
-from .arrangement import Arrangement, ArrangementError, load, profile
+from .arrangement import Arrangement, ArrangementError, RefusedError, load, profile
 from .exact_linalg import InternalError, primitive_vector
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
-EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_CROSS_CHECK = 3
+EXIT_REFUSED = 4
 
 
 class InputError(ValueError):
@@ -82,17 +82,11 @@ def parse_input(text: str) -> tuple[int, list[list[Fraction]]]:
     return n, forms
 
 
-def build_report(
-    a: Arrangement,
-    with_witness: bool = True,
-    use_brute_force: bool = False,
-    max_parts: Optional[int] = None,
-) -> dict:
+def build_report(a: Arrangement, with_witness: bool = True) -> dict:
     """Run the full pipeline and assemble the report document."""
+    # Search first: it refuses oversized inputs before the profile's subset scans.
+    report = dimension_search.achievable_dimensions(a)
     prof = profile(a)
-    report = dimension_search.achievable_dimensions(
-        a, use_brute_force=use_brute_force, max_parts=max_parts
-    )
     verdicts = corollaries.verdict(a, prof.s)
     doc: dict = {
         "profile": {
@@ -167,7 +161,25 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+def _usage_error_exits_input(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT  # click's default 2 is EXIT_INTERNAL here
+        raise
+
+
+class _Group(click.Group):
+    """Exits 1 on usage errors, which click raises in ``make_context`` and ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_error_exits_input(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_error_exits_input(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Classify a projective hyperplane-arrangement complement."""
 
@@ -175,12 +187,10 @@ def main():
 @main.command("analyze")
 @click.argument("input_path", default="-")
 @click.option("--no-witness", is_flag=True, help="Skip witness construction.")
-@click.option("--brute-force", is_flag=True, help="Use the exhaustive oracle search.")
-@click.option("--max-parts-limit", type=int, default=None, help="Cap on blocks explored.")
 @click.option("--json", "fmt", flag_value="json", default=True, help="JSON report (default).")
 @click.option("--text", "fmt", flag_value="text", help="Human-readable report.")
 @click.option("--timing", is_flag=True, help="Include wall-clock timing in the report.")
-def cmd_analyze(input_path, no_witness, brute_force, max_parts_limit, fmt, timing):
+def cmd_analyze(input_path, no_witness, fmt, timing):
     """Analyze an arrangement from INPUT_PATH (or '-' for stdin)."""
     try:
         if input_path == "-":
@@ -195,15 +205,13 @@ def cmd_analyze(input_path, no_witness, brute_force, max_parts_limit, fmt, timin
         sys.exit(EXIT_INPUT)
     started = time.monotonic()
     try:
-        doc = build_report(
-            arrangement,
-            with_witness=not no_witness,
-            use_brute_force=brute_force,
-            max_parts=max_parts_limit,
-        )
+        doc = build_report(arrangement, with_witness=not no_witness)
     except InternalError as exc:
         click.echo(f"internal error (theorem-violating state): {exc}", err=True)
         sys.exit(EXIT_INTERNAL)
+    except RefusedError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(EXIT_REFUSED)
     except ValueError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)

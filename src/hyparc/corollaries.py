@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arrangement import Arrangement, compute_m, compute_s
+from .arrangement import Arrangement, compute_m, compute_s, refuse_above_scan_limit
 from .dimension_search import DimensionReport
 from .exact_linalg import is_flat
-
-BIPARTITION_SCAN_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -41,17 +39,13 @@ def finiteness_verdict(a: Arrangement) -> bool:
     subset whose span/complement-span overlap misses all forms, i.e. the
     first subset that is a flat with a flat complement.
     """
-    if a.r > BIPARTITION_SCAN_LIMIT:
-        raise ValueError(
-            f"finiteness scan refused: {a.r} forms exceeds {BIPARTITION_SCAN_LIMIT}"
-        )
+    refuse_above_scan_limit(a, "finiteness scan")
     if compute_m(a) != -1:
         return False
     coeffs = [f.coeffs for f in a.forms]
     r = a.r
-    others = list(range(1, r))
     for mask in range(2 ** (r - 1) - 1):
-        side = {0} | {others[k] for k in range(r - 1) if mask >> k & 1}
+        side = {0} | {k + 1 for k in range(r - 1) if mask >> k & 1}
         comp = [i for i in range(r) if i not in side]
         if is_flat(coeffs, side) and is_flat(coeffs, comp):
             return False

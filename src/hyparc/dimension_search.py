@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .arrangement import Arrangement, compute_m
+from .arrangement import Arrangement, compute_m, refuse_above_scan_limit
 from .exact_linalg import InternalError, Subspace, contains, intersect, is_flat, span
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -161,89 +161,74 @@ def check_partition(
     )
 
 
-def _merges_all_valid(blocks: Blocks, bip_ok: dict[frozenset, bool]) -> bool:
-    """Are all bipartition coarsenings of ``blocks`` valid?
+def _merges_all_valid(keys: list[int], bip_ok: bytearray) -> bool:
+    """Are all bipartition coarsenings of a partition valid?
 
-    Each bipartition coarsening merges the blocks into two groups; the group
-    containing index 0 is the cache key.  Necessary condition for validity.
+    ``keys[j]`` has bit i set for each form i of block j.  Each coarsening
+    merges the blocks into two groups; the group containing form 0 (block 0)
+    indexes ``bip_ok`` once shifted right by one bit.  Necessary for validity.
     """
-    p = len(blocks)
-    first = frozenset(blocks[0])
-    rest = blocks[1:]
-    for mask in range(2 ** (p - 1) - 1):  # exclude merging everything together
-        side = set(first)
-        for k in range(p - 1):
+    first, rest = keys[0], keys[1:]
+    for mask in range(2 ** len(rest) - 1):  # exclude merging everything together
+        side = first
+        for k, key in enumerate(rest):
             if mask >> k & 1:
-                side.update(rest[k])
-        if not bip_ok[frozenset(side)]:
+                side |= key
+        if not bip_ok[side >> 1]:
             return False
     return True
 
 
-def max_valid_parts(
-    a: Arrangement, max_parts: Optional[int] = None
-) -> tuple[Optional[int], Optional[Blocks]]:
+def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     """Maximum number of blocks of a valid partition, with a witness.
 
     Returns (None, None) when no partition with >= 2 blocks is valid (or the
     arrangement has a single form).  The witness is the lexicographically
     least restricted-growth string among the valid partitions with the
-    maximal block count.
+    maximal block count.  Refuses above ``BIPARTITION_SCAN_LIMIT`` forms.
     """
     r = a.r
-    if r < 2:
-        return None, None
+    refuse_above_scan_limit(a, "partition search")
     m = compute_m(a)
-    cap = min(r, a.n - m)  # d = m + p cannot exceed n
-    if max_parts is not None:
-        cap = min(cap, max_parts)
+    cap = min(r, a.n - m)  # d = m + p cannot exceed n; a single form gives 1
     if cap < 2:
         return None, None
     cache = SpanCache(a)
 
-    # Verdicts for every bipartition, keyed by the side containing index 0:
-    # valid iff both sides are flats.  Skipped for large r, where the
-    # 2^(r-1) pre-pass would dominate.
-    bip_ok: Optional[dict[frozenset, bool]] = None
-    if r <= 16:
-        bip_ok = {}
-        any_valid = False
-        coeffs = [f.coeffs for f in a.forms]
-        others = list(range(1, r))
-        for mask in range(2 ** (r - 1) - 1):  # exclude side == all indices
-            side = frozenset([0] + [others[k] for k in range(r - 1) if mask >> k & 1])
-            ok = is_flat(coeffs, side) and is_flat(coeffs, cache.all_indices - side)
-            bip_ok[side] = ok
-            any_valid = any_valid or ok
-        if not any_valid:
-            return None, None  # every partition coarsens to some bipartition
+    # Verdicts for all 2^(r-1) bipartitions (valid iff both sides are flats),
+    # one byte each: a set-keyed table takes gigabytes at r = 22.  Index: the
+    # side containing form 0, with bit i-1 set for each other form i in it.
+    bip_ok = bytearray(2 ** (r - 1))  # the last index, side == all, stays 0
+    coeffs = [f.coeffs for f in a.forms]
+    for mask in range(2 ** (r - 1) - 1):
+        side = frozenset([0] + [k + 1 for k in range(r - 1) if mask >> k & 1])
+        bip_ok[mask] = is_flat(coeffs, side) and is_flat(coeffs, cache.all_indices - side)
+    if 1 not in bip_ok:
+        return None, None  # every partition coarsens to some bipartition
 
     for p in range(cap, 1, -1):
         for rgs in partitions_rgs(r, blocks=p):
+            keys = [0] * p
+            for i, lab in enumerate(rgs):
+                keys[lab] |= 1 << i
+            if not _merges_all_valid(keys, bip_ok):
+                continue
             blocks = blocks_of(rgs)
-            if bip_ok is not None:
-                if p == 2:
-                    if bip_ok[frozenset(blocks[0])]:
-                        return p, blocks
-                    continue
-                if not _merges_all_valid(blocks, bip_ok):
-                    continue
-            if check_partition(a, blocks, cache).valid:
+            # A bipartition is its own only coarsening, so the flat test decides it.
+            if p == 2 or check_partition(a, blocks, cache).valid:
                 return p, blocks
     return None, None
 
 
-def brute_force_max_parts(
-    a: Arrangement, limit: int = BRUTE_FORCE_LIMIT
-) -> tuple[Optional[int], Optional[Blocks]]:
+def brute_force_max_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     """Oracle: exhaustively check every partition with >= 2 blocks.
 
     No search pruning at all; same result contract as ``max_valid_parts``.
-    Refuses arrangements above ``limit`` forms (Bell numbers explode).
+    Refuses arrangements above ``BRUTE_FORCE_LIMIT`` forms (Bell numbers explode).
     """
-    if a.r > limit:
+    if a.r > BRUTE_FORCE_LIMIT:
         raise ValueError(
-            f"brute force refused: {a.r} forms exceeds the limit of {limit}"
+            f"brute force refused: {a.r} forms exceeds the limit of {BRUTE_FORCE_LIMIT}"
         )
     if a.r < 2:
         return None, None
@@ -261,12 +246,7 @@ def brute_force_max_parts(
     return best_parts, best_blocks
 
 
-def achievable_dimensions(
-    a: Arrangement,
-    use_brute_force: bool = False,
-    max_parts: Optional[int] = None,
-    brute_limit: int = BRUTE_FORCE_LIMIT,
-) -> DimensionReport:
+def achievable_dimensions(a: Arrangement) -> DimensionReport:
     """Full classification: maximal dimension d_max and the range below it.
 
     d_max = m + p_max when a valid partition exists, else the guaranteed
@@ -274,10 +254,7 @@ def achievable_dimensions(
     (witnesses of any smaller dimension exist; see the witness module).
     """
     m = compute_m(a)
-    if use_brute_force:
-        parts, witness = brute_force_max_parts(a, limit=brute_limit)
-    else:
-        parts, witness = max_valid_parts(a, max_parts=max_parts)
+    parts, witness = max_valid_parts(a)
     d_max = m + parts if parts is not None else m + 1
     if d_max > a.n or d_max < m + 1:
         raise InternalError(

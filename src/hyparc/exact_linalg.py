@@ -235,18 +235,29 @@ def contains(u: Subspace, x: Sequence[Fraction]) -> bool:
         raise DimensionMismatchError(
             f"vector of length {len(vec)} in ambient dimension {u.ambient_dim}"
         )
-    return all(c == 0 for c in _reduce_against(u.basis, vec))
+    return not any(reduce_against(u.basis, vec)[0])
 
 
-def _reduce_against(basis: Sequence[Vector], vec: Vector) -> list[Fraction]:
-    """Residual of vec after elimination against an RREF basis."""
+def reduce_against(
+    rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Residual of vec after elimination, and the multiple of each row subtracted.
+
+    Rows are echelon in insertion order: each row's pivot is its first nonzero
+    entry, where every later row is zero (an RREF basis is one case).  A zero
+    residual means vec is in the span, with the multiples as its coordinates.
+    """
     res = list(vec)
-    for row in basis:
+    multiples: list[Fraction] = []
+    for row in rows:
         pivot = next(i for i, x in enumerate(row) if x != 0)
-        if res[pivot] != 0:
-            factor = res[pivot]
+        factor = res[pivot]
+        if factor != 0:
+            if row[pivot] != 1:
+                factor = factor / row[pivot]
             res = [a - factor * b for a, b in zip(res, row)]
-    return res
+        multiples.append(factor)
+    return res, multiples
 
 
 def nullspace(rows: Iterable[Sequence[Fraction]], width: int) -> Subspace:

@@ -35,7 +35,7 @@ from .exact_linalg import (
     intersect,
     nullspace,
     primitive_vector,
-    solve_coordinates,
+    reduce_against,
     span,
     sum_spaces,
     vector,
@@ -159,42 +159,32 @@ def generic_avoiding_extension(
         if contains(inside, v):
             raise ValueError("avoid vector lies inside the forced subspace")
     # Complete the inside basis to a basis of the container.
-    work = [list(b) for b in inside.basis]
-    ext: list[Vector] = []
+    basis = list(inside.basis)
     for b in container.basis:
-        res = list(b)
-        for row in work:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if res[pivot] != 0:
-                factor = res[pivot] / row[pivot]
-                res = [x - factor * y for x, y in zip(res, row)]
-        if any(x != 0 for x in res):
-            work.append(res)
-            ext.append(tuple(res))
-    basis = list(inside.basis) + ext
-    j, k = inside.rank, container.rank
+        res, _ = reduce_against(basis, b)
+        if any(res):
+            basis.append(tuple(res))
+    j = inside.rank
+    ext = basis[j:]
+    quot = len(ext)
     tails = []
     for v in avoid:
-        coords = solve_coordinates(basis, v)
-        _assert(coords is not None, "avoid vector has no coordinates in container")
+        res, coords = reduce_against(basis, v)
+        _assert(not any(res), "avoid vector has no coordinates in container")
         tails.append(coords[j:])
-    quot = k - j
     for t in range(_GENERIC_SEARCH_CAP):
-        phi = [Fraction(t) ** l for l in range(quot)]
+        phi = _moment_vector(quot, t)
         if all(sum(p * q for p, q in zip(phi, tail)) != 0 for tail in tails):
             break
     else:
         raise InternalError("no generic functional found; this cannot happen")
     kernel = nullspace([phi], quot)
-    v_rows = list(inside.basis)
-    for kv in kernel.basis:
-        v_rows.append(
-            tuple(
-                sum(kv[l] * ext[l][c] for l in range(quot))
-                for c in range(container.ambient_dim)
-            )
-        )
-    return span(v_rows, container.ambient_dim)
+    width = container.ambient_dim
+    v_rows = list(inside.basis) + [
+        tuple(sum(kv[l] * ext[l][c] for l in range(quot)) for c in range(width))
+        for kv in kernel.basis
+    ]
+    return span(v_rows, width)
 
 
 def _check_chain_step(

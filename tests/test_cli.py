@@ -1,6 +1,10 @@
 """CLI: parsing, report determinism, exit codes, generation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,6 +12,9 @@ from click.testing import CliRunner
 from hyparc import cli
 from hyparc.arrangement import load
 from hyparc.witness import make_witness
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -90,13 +97,6 @@ class TestAnalyze:
         )
         assert json.loads(result.output)["witness_subspace"] is None
 
-    def test_brute_force_flag_agrees(self, runner):
-        plain = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
-        brute = runner.invoke(
-            cli.main, ["analyze", "--brute-force", "-"], input=four_lines_doc()
-        )
-        assert plain.output == brute.output
-
     def test_text_format(self, runner):
         result = runner.invoke(
             cli.main, ["analyze", "--text", "-"], input=four_lines_doc()
@@ -120,6 +120,30 @@ class TestAnalyze:
         monkeypatch.setattr(cli.corollaries, "cross_check", lambda a, rep, v: ["fake"])
         result = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
         assert result.exit_code == 3
+
+    def test_usage_error_exit_code(self, runner):
+        result = runner.invoke(
+            cli.main, ["analyze", "--brute-force", "-"], input=four_lines_doc()
+        )
+        assert result.exit_code == 1
+
+    def test_refused_exit_code(self, runner):
+        doc = json.dumps(cli.generate_document("general_position", 2, 23))
+        result = runner.invoke(cli.main, ["analyze", "-"], input=doc)
+        assert result.exit_code == 4
+        assert "refused" in result.stderr
+
+    def test_pencil_of_17_lines_answers(self):
+        # Above r = 16 the search used to enumerate bipartitions unfiltered
+        # and ran for minutes; the timeout turns a regression into a failure.
+        doc = json.dumps(cli.generate_document("pencil", 2, 17))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyparc.cli", "analyze", "-"],
+            input=doc, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["d_max"] == 1
 
 
 class TestGenerate:

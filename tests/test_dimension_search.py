@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from hyparc.arrangement import load
+from hyparc.arrangement import BIPARTITION_SCAN_LIMIT, RefusedError, load
 from hyparc.dimension_search import (
     achievable_dimensions,
     blocks_of,
@@ -106,6 +106,11 @@ class TestMaxValidParts:
 
     def test_single_form(self):
         assert max_valid_parts(load(2, [[1, 0, 0]])) == (None, None)
+
+    def test_refused_above_scan_limit(self):
+        a = moment_curve_arrangement(2, BIPARTITION_SCAN_LIMIT + 1)
+        with pytest.raises(RefusedError, match="refused: the partition search"):
+            max_valid_parts(a)
 
 
 class TestBruteForce:

@@ -24,6 +24,7 @@ from hyparc.exact_linalg import (
     is_flat,
     nullspace,
     primitive_vector,
+    reduce_against,
     solve_coordinates,
     span,
     sum_spaces,
@@ -136,6 +137,28 @@ class TestSolveCoordinates:
 
     def test_outside_span(self):
         assert solve_coordinates([vector((1, 0, 0))], (0, 1, 0)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_strategy(4), st.lists(small_entries, min_size=5, max_size=5),
+       st.lists(small_entries, min_size=4, max_size=4))
+def test_reduce_against_multiples_are_coordinates(vectors, coeffs, outside):
+    # Independent rows, echelon in insertion order with pivots other than 1,
+    # built the way the witness completes a basis.
+    rows: list = []
+    for v in vectors:
+        res, _ = reduce_against(rows, vector(v))
+        if any(res):
+            rows.append(tuple(res))
+    combo = [sum(Fraction(c) * row[i] for c, row in zip(coeffs, rows)) for i in range(4)]
+    res, multiples = reduce_against(rows, combo)
+    assert not any(res)
+    assert multiples == solve_coordinates(rows, combo) == [Fraction(c) for c in coeffs[: len(rows)]]
+    res, multiples = reduce_against(rows, vector(outside))
+    coords = solve_coordinates(rows, outside)
+    assert (coords is None) == any(res)
+    if coords is not None:
+        assert multiples == coords
 
 
 class TestPrimitiveVector:
