@@ -21,7 +21,7 @@ from typing import Sequence
 from .exact_linalg import IntRows, Vector, int_rank, int_residual, primitive_vector, vector
 
 
-BIPARTITION_SCAN_LIMIT = 22  # largest r whose 2^(r-1) bipartition scans run
+BIPARTITION_SCAN_LIMIT = 22  # largest r the partition search and the finiteness scan accept
 
 
 class ArrangementError(ValueError):
@@ -105,11 +105,11 @@ def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
 
 
 def refuse_above_scan_limit(a: Arrangement, what: str) -> None:
-    """Raise ``RefusedError`` when ``a`` has too many forms for a bipartition scan."""
+    """Raise ``RefusedError`` when ``a`` has more than ``BIPARTITION_SCAN_LIMIT`` forms."""
     if a.r > BIPARTITION_SCAN_LIMIT:
         raise RefusedError(
-            f"refused: the {what} scans all 2^(r-1) bipartitions, and r = {a.r} "
-            f"exceeds the limit of {BIPARTITION_SCAN_LIMIT}"
+            f"refused: the {what} accepts at most r = {BIPARTITION_SCAN_LIMIT} "
+            f"forms, and this input has r = {a.r}"
         )
 
 

@@ -10,7 +10,8 @@ produces byte-identical output (timing is only included on request).
 
 Exit codes: 0 success, 1 input or usage error, 2 internal assertion failure
 (theorem-violating state, i.e. a bug), 3 cross-check discrepancy, 4 refused
-(valid input with more forms than the bipartition scans accept).
+(valid input with more than 22 forms, the limit of the partition search and
+the finiteness scan).
 """
 
 from __future__ import annotations

@@ -1,29 +1,70 @@
 """Partition-lattice search for the achievable complement dimensions.
 
-A partition of the form set into p >= 2 blocks is *valid* when no form lies
+A partition of the form set E into p >= 2 blocks is *valid* when no form lies
 in W = sum over blocks of (block span intersected with the span of the other
 blocks).  The maximal achievable dimension is m + p_max over valid
 partitions, with the guaranteed baseline m + 1 when no partition with at
-least two blocks is valid.
+least two blocks is valid.  ``check_partition`` computes W itself; the
+witness uses it, and the tests use it and ``brute_force_max_parts`` as
+oracles.  The search works in the matroid of the forms instead (flats,
+closure and connected components as in Oxley, *Matroid Theory*).  A set of
+forms is a *flat* when it contains every form in its span, and *clopen* when
+it and its complement are both flats.
 
-Key structural facts used by the search:
+Block criterion.  A partition B_1..B_p (p >= 2) is valid iff every block is
+clopen.  Let V_j = span(B_j) and V_-j = span(E∖B_j), so that
+W = sum_j V_j ∩ V_-j.  If a form x of B_i lies in W, every summand with
+j != i lies in V_j ⊆ V_-i and the summand with j = i lies in V_-i, so x lies
+in span(E∖B_i) and the complement of B_i is not a flat.  Conversely, a form
+x of B_i in span(E∖B_i) lies in V_i ∩ V_-i ⊆ W.  So the partition is valid
+iff the complement of every block is a flat; each block is then the
+intersection of the other blocks' complements, a flat too.  For p = 2 this
+is the bipartition rule of ``corollaries``.  Merging blocks keeps every
+complement an intersection of flats, so coarsening preserves validity.
 
-* The span of a union of blocks equals the sum of the block spans, so the
-  per-block contribution to W depends only on the block, not the partition.
-  Block spans and overlaps are therefore memoized per arrangement.
-* Validity is preserved under coarsening (merging blocks).  Contrapositive:
-  if any bipartition coarsening of a candidate is invalid, the candidate is
-  invalid.  The search precomputes all bipartition verdicts and uses them to
-  discard candidates before the full check; if no bipartition is valid, no
-  partition with >= 2 blocks can be.
-* A bipartition (S, E∖S) is valid iff S and E∖S are both flats, i.e. each
-  side contains every form in its own span.  Proof: for p = 2,
-  W = span(S) ∩ span(E∖S), and a form of S always lies in span(S), so it
-  lies in W iff it lies in span(E∖S); likewise for a form of E∖S.  The
-  pre-pass therefore needs only integer rank tests, no intersections.
+p <= rank.  Pick one form x_i from each block of a valid partition.  A
+linear dependence would put some x_i in the span of the others, inside the
+flat E∖B_i that does not contain x_i.  So the picks are independent and
+p <= rank = n - m.  The argument only uses that each block's complement is a
+flat, so a partition of any set U of forms into sets clopen in E has at
+most rank(U) blocks; the search prunes with this bound.
 
-Partitions are enumerated via restricted-growth strings in lexicographic
-order, which fixes the reported witness deterministically.
+Components.  Let T be a separator, a union of connected components, so the
+matroid is the direct sum of its restrictions to T and E∖T and the closure
+of a set is the union of the closures of its parts in T and in E∖T (no form
+is zero, so there are no loops).
+
+* Splitting a separator off a block keeps every block clopen: if B is
+  clopen, B ∩ T and B∖T are flats, and so are their complements
+  (E∖B) ∩ T ∪ (E∖T) and (E∖B)∖T ∪ T.  Splitting a block that meets both
+  T and E∖T adds a block, so a maximum valid partition refines the
+  components.
+* The clopen sets of a direct sum are exactly the unions of clopen sets of
+  its parts.  So the maximum partitions are the unions of one maximum
+  partition of each component into sets clopen there, and p_max is the sum
+  of the component maxima.  A component with no such partition into two or
+  more sets contributes itself as one block; a coloop is a singleton block,
+  and independent forms give p = r.
+* Partitions are compared by their restricted-growth strings (RGS: the
+  label of a form is the rank of its block ordered by least form).  Two
+  partitions first differ at the least form i whose block, cut down to the
+  forms up to i, differs, and the one whose block of i has the smaller
+  least form comes first.  When the partitions are unions over the same
+  components, form i and both its blocks lie in one component, and the
+  comparison is the same as in that component's own order.  So the
+  per-component lexicographically least maximum partitions combine to the
+  global one.
+
+Search, per component.  The components come from the fundamental circuits
+of a greedy basis.  The clopen sets come from a two-sided closure search:
+the lowest undecided form joins one side or the other, that side is closed
+with the integer kernel, and a branch dies when the two closures meet.  The
+maximum partition is then an exact cover by clopen sets, memoised on the set
+of uncovered forms: the lowest uncovered form opens the next block, so its
+candidates are the clopen sets with that least form.  Candidates that cannot
+reach the best count (blocks <= rank of the forms left) are pruned, and
+ties are decided on the RGS, so the cover found is the lexicographically
+least maximum one, the same witness the exhaustive oracle returns.
 """
 
 from __future__ import annotations
@@ -32,9 +73,20 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .arrangement import Arrangement, compute_m, refuse_above_scan_limit
-from .exact_linalg import InternalError, Subspace, contains, intersect, is_flat, span
+from .exact_linalg import (
+    IntRows,
+    InternalError,
+    Subspace,
+    contains,
+    int_echelon,
+    int_rank,
+    int_residual,
+    intersect,
+    span,
+)
 
 Blocks = tuple[tuple[int, ...], ...]
+Mask = int  # a set of forms: bit i set for form i
 
 BRUTE_FORCE_LIMIT = 9  # Bell(9) = 21147 partitions
 
@@ -55,27 +107,17 @@ class DimensionReport:
     parts_max: Optional[int]
 
 
-def partitions_rgs(r: int, blocks: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Set partitions of range(r) as restricted-growth strings, lex order.
-
-    With ``blocks`` given, only partitions with exactly that many blocks are
-    produced (branches that can no longer reach the count are pruned).
-    """
+def partitions_rgs(r: int) -> Iterator[tuple[int, ...]]:
+    """Set partitions of range(r) as restricted-growth strings, lex order."""
     if r < 1:
         return
     rgs = [0] * r
 
     def rec(i: int, maxlab: int) -> Iterator[tuple[int, ...]]:
         if i == r:
-            if blocks is None or maxlab + 1 == blocks:
-                yield tuple(rgs)
+            yield tuple(rgs)
             return
-        hi = maxlab + 1
-        if blocks is not None:
-            hi = min(hi, blocks - 1)
-            if maxlab + (r - i) < blocks - 1:
-                return  # cannot reach the required block count
-        for lab in range(hi + 1):
+        for lab in range(maxlab + 2):
             rgs[i] = lab
             yield from rec(i + 1, max(maxlab, lab))
 
@@ -161,22 +203,153 @@ def check_partition(
     )
 
 
-def _merges_all_valid(keys: list[int], bip_ok: bytearray) -> bool:
-    """Are all bipartition coarsenings of a partition valid?
+def _low(mask: Mask) -> int:
+    """Index of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
-    ``keys[j]`` has bit i set for each form i of block j.  Each coarsening
-    merges the blocks into two groups; the group containing form 0 (block 0)
-    indexes ``bip_ok`` once shifted right by one bit.  Necessary for validity.
+
+def _components(coeffs: list[tuple[int, ...]]) -> list[Mask]:
+    """Connected components of the forms' matroid, ordered by least form.
+
+    A non-basis form e of a greedy basis B shares a circuit with the basis
+    forms b for which e is not in span(B minus b); joining along these
+    fundamental circuits gives the components.  Coloops stay alone.
     """
-    first, rest = keys[0], keys[1:]
-    for mask in range(2 ** len(rest) - 1):  # exclude merging everything together
-        side = first
-        for k, key in enumerate(rest):
-            if mask >> k & 1:
-                side |= key
-        if not bip_ok[side >> 1]:
-            return False
-    return True
+    rows: IntRows = []
+    basis: list[int] = []
+    circuits: dict[int, Mask] = {}
+    for i, v in enumerate(coeffs):
+        res = int_residual(rows, v)
+        pivot = next((j for j, x in enumerate(res) if x), None)
+        if pivot is None:
+            circuits[i] = 1 << i
+        else:
+            rows.append((pivot, res))
+            basis.append(i)
+    for b in basis:
+        rest = int_echelon(coeffs[c] for c in basis if c != b)
+        for e in circuits:
+            if any(int_residual(rest, coeffs[e])):
+                circuits[e] |= 1 << b
+    comps = [1 << b for b in basis]
+    for circuit in circuits.values():
+        joined = circuit
+        for c in comps:
+            if c & circuit:
+                joined |= c
+        comps = [c for c in comps if not c & circuit] + [joined]
+    return sorted(comps, key=_low)
+
+
+def _close(side: Mask, outside: dict[int, tuple[int, ...]], u: int, other: Mask):
+    """Closure of ``side`` plus form ``u``; None when it meets ``other``.
+
+    ``outside`` maps each form not in ``side`` to its residual against the
+    span of ``side``; reducing those by the residual of ``u`` gives the
+    residuals against the grown span, and a zero residual puts its form in
+    the closure.  Returns the closed side and its ``outside`` map.
+    """
+    row = outside[u]
+    step = [(next(j for j, x in enumerate(row) if x), row)]
+    side |= 1 << u
+    still_outside = {}
+    for e, res in outside.items():
+        if e == u:
+            continue
+        res = int_residual(step, res)
+        if any(res):
+            still_outside[e] = res
+        elif other >> e & 1:
+            return None
+        else:
+            side |= 1 << e
+    return side, still_outside
+
+
+def _clopen_sets(vecs: list[tuple[int, ...]]) -> list[Mask]:
+    """Every nonempty clopen set of the vectors' matroid, as bitmasks.
+
+    Two-sided closure search: the lowest undecided form joins one side or
+    the other, the side is closed again, and a branch dies when the two
+    closures meet.  Form 0 starts on the first side, so each clopen pair
+    {S, complement} is reached once.
+    """
+    full = (1 << len(vecs)) - 1
+    found: list[Mask] = []
+
+    def dfs(a: Mask, a_out: dict, b: Mask, b_out: dict) -> None:
+        undecided = full & ~(a | b)
+        if not undecided:
+            found.extend(s for s in (a, b) if s)
+            return
+        u = _low(undecided)
+        grown = _close(a, a_out, u, b)
+        if grown:
+            dfs(*grown, b, b_out)
+        grown = _close(b, b_out, u, a)
+        if grown:
+            dfs(a, a_out, *grown)
+
+    nothing = dict(enumerate(vecs))
+    dfs(*_close(0, nothing, 0, 0), 0, nothing)
+    return found
+
+
+def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """RGS of the lexicographically least partition into most clopen sets.
+
+    Exact cover memoised on the uncovered forms: the lowest uncovered form
+    opens the next block, so its candidates are the clopen sets with that
+    least form, tried in the order of their best possible RGS.  A cover of
+    ``uncovered`` has at most rank(uncovered) blocks (module docstring).
+    """
+    k = len(vecs)
+    starting: dict[int, list[Mask]] = {}
+    for s in sorted(_clopen_sets(vecs), key=lambda s: [~s >> i & 1 for i in range(k)]):
+        starting.setdefault(_low(s), []).append(s)
+    best: dict[Mask, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    bound: dict[Mask, int] = {}
+
+    def upper(mask: Mask) -> int:
+        if mask not in bound:
+            bound[mask] = int_rank(vecs[i] for i in range(k) if mask >> i & 1)
+        return bound[mask]
+
+    def solve(uncovered: Mask, need: int) -> Optional[tuple[int, tuple[int, ...]]]:
+        """(blocks, RGS) of the best cover if it has at least ``need`` blocks."""
+        hit = best.get(uncovered)
+        if hit is not None:
+            return hit if hit[0] >= need else None
+        if upper(uncovered) < need:
+            return None
+        forms = [i for i in range(k) if uncovered >> i & 1]
+        top = None
+        for s in starting.get(forms[0], ()):
+            if s & ~uncovered:
+                continue
+            rest = uncovered & ~s
+            target = need if top is None else top[0]
+            reach = 1 + upper(rest)
+            if reach < target:
+                continue
+            if top is not None and reach == target and (
+                tuple(0 if s >> i & 1 else 1 for i in forms) >= top[1]
+            ):
+                continue  # a tie at best, and no RGS below the current one
+            sub = solve(rest, target - 1)
+            if sub is None:
+                continue
+            labels = iter(sub[1])
+            rgs = tuple(0 if s >> i & 1 else 1 + next(labels) for i in forms)
+            if top is None or (-1 - sub[0], rgs) < (-top[0], top[1]):
+                top = (1 + sub[0], rgs)
+        if top is None:
+            bound[uncovered] = need - 1
+            return None
+        best[uncovered] = top
+        return top
+
+    return solve((1 << k) - 1, 1)[1]
 
 
 def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
@@ -185,39 +358,20 @@ def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     Returns (None, None) when no partition with >= 2 blocks is valid (or the
     arrangement has a single form).  The witness is the lexicographically
     least restricted-growth string among the valid partitions with the
-    maximal block count.  Refuses above ``BIPARTITION_SCAN_LIMIT`` forms.
+    maximal block count.  Each matroid component contributes its own
+    lexicographically least maximum partition into clopen sets (module
+    docstring).  Refuses above ``BIPARTITION_SCAN_LIMIT`` forms.
     """
-    r = a.r
     refuse_above_scan_limit(a, "partition search")
-    m = compute_m(a)
-    cap = min(r, a.n - m)  # d = m + p cannot exceed n; a single form gives 1
-    if cap < 2:
-        return None, None
-    cache = SpanCache(a)
-
-    # Verdicts for all 2^(r-1) bipartitions (valid iff both sides are flats),
-    # one byte each: a set-keyed table takes gigabytes at r = 22.  Index: the
-    # side containing form 0, with bit i-1 set for each other form i in it.
-    bip_ok = bytearray(2 ** (r - 1))  # the last index, side == all, stays 0
     coeffs = [f.coeffs for f in a.forms]
-    for mask in range(2 ** (r - 1) - 1):
-        side = frozenset([0] + [k + 1 for k in range(r - 1) if mask >> k & 1])
-        bip_ok[mask] = is_flat(coeffs, side) and is_flat(coeffs, cache.all_indices - side)
-    if 1 not in bip_ok:
-        return None, None  # every partition coarsens to some bipartition
-
-    for p in range(cap, 1, -1):
-        for rgs in partitions_rgs(r, blocks=p):
-            keys = [0] * p
-            for i, lab in enumerate(rgs):
-                keys[lab] |= 1 << i
-            if not _merges_all_valid(keys, bip_ok):
-                continue
-            blocks = blocks_of(rgs)
-            # A bipartition is its own only coarsening, so the flat test decides it.
-            if p == 2 or check_partition(a, blocks, cache).valid:
-                return p, blocks
-    return None, None
+    blocks = []
+    for comp in _components(coeffs):
+        forms = [i for i in range(a.r) if comp >> i & 1]
+        for block in blocks_of(_max_cover([coeffs[i] for i in forms])):
+            blocks.append(tuple(forms[i] for i in block))
+    if len(blocks) < 2:
+        return None, None
+    return len(blocks), tuple(sorted(blocks))
 
 
 def brute_force_max_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:

@@ -36,3 +36,19 @@ def arrangements(draw, max_r=8):
         )
     )
     return load(n, rows)
+
+
+@st.composite
+def sparse_arrangements(draw, max_r=9):
+    """Arrangements of mostly-zero forms, so the matroid often splits into
+    several connected components."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
+    rows = draw(
+        st.lists(
+            st.lists(entry, min_size=n + 1, max_size=n + 1).filter(any),
+            min_size=1,
+            max_size=max_r,
+        )
+    )
+    return load(n, rows)

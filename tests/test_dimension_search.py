@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from hyparc import cli
 from hyparc.arrangement import BIPARTITION_SCAN_LIMIT, RefusedError, load
 from hyparc.dimension_search import (
+    SpanCache,
     achievable_dimensions,
     blocks_of,
     brute_force_max_parts,
@@ -17,7 +19,12 @@ from hyparc.dimension_search import (
 )
 from hyparc.exact_linalg import is_flat, span, zero_space
 
-from .corpus import arrangements, moment_curve_arrangement, random_arrangement
+from .corpus import (
+    arrangements,
+    moment_curve_arrangement,
+    random_arrangement,
+    sparse_arrangements,
+)
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 # canonical order: 0:(0,0,1)  1:(0,1,0)  2:(1,0,0)  3:(1,1,1)
@@ -30,8 +37,8 @@ class TestPartitionEnumeration:
 
     def test_exact_block_counts(self):
         # Stirling numbers of the second kind for r=5.
-        assert sum(1 for _ in partitions_rgs(5, blocks=2)) == 15
-        assert sum(1 for _ in partitions_rgs(5, blocks=3)) == 25
+        assert sum(1 for rgs in partitions_rgs(5) if max(rgs) == 1) == 15
+        assert sum(1 for rgs in partitions_rgs(5) if max(rgs) == 2) == 25
 
     def test_lexicographic_order(self):
         seen = list(partitions_rgs(4))
@@ -76,7 +83,7 @@ class TestCheckPartition:
         rng = random.Random(23)
         for _ in range(20):
             a = random_arrangement(rng, rng.randint(2, 3), rng.randint(3, 6))
-            for rgs in partitions_rgs(a.r, blocks=min(3, a.r)):
+            for rgs in (g for g in partitions_rgs(a.r) if max(g) + 1 == min(3, a.r)):
                 blocks = blocks_of(rgs)
                 chk = check_partition(a, blocks)
                 flipped = check_partition(a, tuple(reversed(blocks)))
@@ -152,6 +159,62 @@ def test_flat_bipartitions_match_check_partition(a):
         comp = tuple(i for i in range(a.r) if i not in side)
         flats = is_flat(coeffs, side) and is_flat(coeffs, comp)
         assert flats == check_partition(a, (side, comp)).valid
+
+
+def _clopen(coeffs, block):
+    comp = [i for i in range(len(coeffs)) if i not in block]
+    return is_flat(coeffs, block) and is_flat(coeffs, comp)
+
+
+@settings(max_examples=10, deadline=None)
+@given(arrangements())
+def test_clopen_blocks_match_check_partition(a):
+    """Every block clopen <=> the Zassenhaus criterion, on every partition."""
+    coeffs = [f.coeffs for f in a.forms]
+    cache = SpanCache(a)
+    for rgs in partitions_rgs(a.r):
+        blocks = blocks_of(rgs)
+        if len(blocks) < 2:
+            continue
+        clopen = all(_clopen(coeffs, b) for b in blocks)
+        assert clopen == check_partition(a, blocks, cache).valid
+
+
+@settings(max_examples=10, deadline=None)
+@given(sparse_arrangements())
+def test_search_matches_brute_force_on_sparse_forms(a):
+    assert max_valid_parts(a) == brute_force_max_parts(a)
+
+
+def _direct_sum(a, b):
+    """The forms of ``a`` and of ``b`` on disjoint coordinates."""
+    pad_a, pad_b = [0] * (b.n + 1), [0] * (a.n + 1)
+    rows = [list(f.coeffs) + pad_a for f in a.forms]
+    rows += [pad_b + list(f.coeffs) for f in b.forms]
+    return load(a.n + b.n + 1, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangements(max_r=6), arrangements(max_r=6))
+def test_direct_sum_adds_parts(a, b):
+    """A summand with no valid partition contributes one block."""
+    s = _direct_sum(a, b)
+    parts, witness = max_valid_parts(s)
+    assert parts == (max_valid_parts(a)[0] or 1) + (max_valid_parts(b)[0] or 1)
+    assert check_partition(s, witness).valid
+
+
+class TestFormerHardCases:
+    def test_coordinate_forms_plus_one(self):
+        # P^19: e_0..e_19 are coloops except e_0, e_1, which join e_0 + e_1
+        # in one component without a valid partition.
+        rows = [[int(i == j) for j in range(20)] for i in range(20)]
+        a = load(19, rows + [[1, 1] + [0] * 18])
+        assert max_valid_parts(a)[0] == 19
+
+    def test_general_position_9_12(self):
+        doc = cli.generate_document("general_position", 9, 12)
+        assert achievable_dimensions(load(doc["n"], doc["forms"])).d_max == 3
 
 
 class TestCoarsening:
