@@ -5,17 +5,36 @@ variables, one per hyperplane, each canonicalized to a primitive integer
 vector.  Profiling computes the key combinatorial statistics:
 
 * ``m``  -- projective dimension of the common intersection of all
-  hyperplanes (the empty set counts as dimension -1),
+  hyperplanes (the empty set counts as dimension -1), so the forms have
+  rank n - m,
 * ``s``  -- the largest number of hyperplanes with nonempty common
-  intersection,
+  intersection, i.e. the largest set of forms of rank at most n,
 * general position -- every subset of min(r, n+1) forms is independent.
+
+``Arrangement`` is also the per-arrangement context: m, s and the
+``Fraction`` form vectors are computed on first use and kept, so every
+stage of an analysis reads the same values.
+
+General position follows from rank and s.  When r <= n+1 it says that all
+r forms are independent, i.e. rank = r.  When r > n+1 it holds iff s = n.
+Any n forms have rank at most n, so s >= n.  If every n+1 forms are
+independent, every set of more than n forms contains n+1 independent ones
+and has rank n+1, so s = n.  Conversely, if s = n, no n+1 forms lie in a
+space of rank n, so every n+1 of them are independent.
+
+The same fact decides whether the general-position bound of
+``corollaries`` is achieved: the bound exists when r > s, and then general
+position holds iff s = n.  For r > n+1 that is the rule above.  For
+r <= n+1 and r > s, the rank is n+1 (at rank <= n all r forms would meet,
+so s = r), hence rank = r = n+1, which is general position, and n <= s < r
+gives s = n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from typing import Sequence
 
 from .exact_linalg import IntRows, Vector, int_rank, int_residual, primitive_vector, vector
@@ -48,7 +67,10 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class Arrangement:
-    """The set of defining forms plus the ambient projective dimension n."""
+    """The set of defining forms plus the ambient projective dimension n.
+
+    ``vectors``, ``m`` and ``s`` are computed once, on first use.
+    """
 
     n: int
     forms: tuple[LinearForm, ...]
@@ -58,8 +80,17 @@ class Arrangement:
     def r(self) -> int:
         return len(self.forms)
 
-    def form_vectors(self) -> list[Vector]:
-        return [f.vector() for f in self.forms]
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        return tuple(f.vector() for f in self.forms)
+
+    @cached_property
+    def m(self) -> int:
+        return compute_m(self)
+
+    @cached_property
+    def s(self) -> int:
+        return compute_s(self)
 
 
 @dataclass(frozen=True)
@@ -151,16 +182,14 @@ def compute_s(a: Arrangement) -> int:
 
 
 def is_general_position(a: Arrangement) -> bool:
-    """Every subset of min(r, n+1) forms is linearly independent."""
-    coeffs = [f.coeffs for f in a.forms]
-    k = min(a.r, a.n + 1)
-    return all(int_rank(combo) == k for combo in combinations(coeffs, k))
+    """Every subset of min(r, n+1) forms is independent: rank = r or s = n.
+
+    The module docstring proves the rule.
+    """
+    if a.r <= a.n + 1:
+        return a.n - a.m == a.r
+    return a.s == a.n
 
 
 def profile(a: Arrangement) -> ArrangementProfile:
-    return ArrangementProfile(
-        m=compute_m(a),
-        r=a.r,
-        s=compute_s(a),
-        general_position=is_general_position(a),
-    )
+    return ArrangementProfile(m=a.m, r=a.r, s=a.s, general_position=is_general_position(a))

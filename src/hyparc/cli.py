@@ -85,10 +85,10 @@ def parse_input(text: str) -> tuple[int, list[list[Fraction]]]:
 
 def build_report(a: Arrangement, with_witness: bool = True) -> dict:
     """Run the full pipeline and assemble the report document."""
-    # Search first: it refuses oversized inputs before the profile's subset scans.
+    # Search first: it refuses oversized inputs before the profile's search for s.
     report = dimension_search.achievable_dimensions(a)
     prof = profile(a)
-    verdicts = corollaries.verdict(a, prof.s)
+    verdicts = corollaries.verdict(a)
     doc: dict = {
         "profile": {
             "n": a.n,
@@ -159,6 +159,8 @@ def _render_text(doc: dict) -> str:
         lines.append(f"warning: {w}")
     for d in doc["cross_check"]:
         lines.append(f"CROSS-CHECK DISCREPANCY: {d}")
+    if "timing_seconds" in doc:
+        lines.append(f"timing: {doc['timing_seconds']} s")
     return "\n".join(lines) + "\n"
 
 
@@ -183,6 +185,8 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 def main():
     """Classify a projective hyperplane-arrangement complement."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact coefficients may have any number of digits
 
 
 @main.command("analyze")
@@ -201,7 +205,7 @@ def cmd_analyze(input_path, no_witness, fmt, timing):
                 text = fh.read()
         n, raw_forms = parse_input(text)
         arrangement = load(n, raw_forms)
-    except (InputError, ArrangementError, OSError) as exc:
+    except (InputError, ArrangementError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     started = time.monotonic()

@@ -8,10 +8,12 @@
   search module, and runs once per analysis.
 * General-position bound: when more hyperplanes than can meet at a point,
   the maximal dimension is at most floor(s / (r - s)), with equality for
-  arrangements in general position.
+  arrangements in general position.  When r > s, general position is the
+  same fact as s = n (see ``arrangement``).
 
-``verdict`` computes both once; ``cross_check`` receives that verdict and
-compares it with the search result, without recomputing either.
+``verdict(a)`` computes both once, reading m and s from the arrangement;
+``cross_check`` receives that verdict and compares it with the search
+result, without recomputing either.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arrangement import Arrangement, compute_m, compute_s, refuse_above_scan_limit
+from .arrangement import Arrangement, is_general_position, refuse_above_scan_limit
 from .dimension_search import DimensionReport
 from .exact_linalg import is_flat
 
@@ -40,7 +42,7 @@ def finiteness_verdict(a: Arrangement) -> bool:
     first subset that is a flat with a flat complement.
     """
     refuse_above_scan_limit(a, "finiteness scan")
-    if compute_m(a) != -1:
+    if a.m != -1:
         return False
     coeffs = [f.coeffs for f in a.forms]
     r = a.r
@@ -52,24 +54,18 @@ def finiteness_verdict(a: Arrangement) -> bool:
     return True
 
 
-def _bound(r: int, s: int) -> Optional[int]:
-    return s // (r - s) if r > s else None
-
-
 def general_position_bound(a: Arrangement) -> Optional[int]:
     """floor(s / (r - s)) when r > s, else None."""
-    return _bound(a.r, compute_s(a))
+    return a.s // (a.r - a.s) if a.r > a.s else None
 
 
-def verdict(a: Arrangement, s: Optional[int] = None) -> Verdict:
-    """Finiteness and general-position verdicts; ``s`` as from ``profile``."""
-    if s is None:
-        s = compute_s(a)
-    bound = _bound(a.r, s)
+def verdict(a: Arrangement) -> Verdict:
+    """Finiteness and general-position verdicts."""
+    bound = general_position_bound(a)
     return Verdict(
         finiteness=finiteness_verdict(a),
         gp_bound=bound,
-        gp_bound_achieved=(s == a.n) if bound is not None else None,
+        gp_bound_achieved=is_general_position(a) if bound is not None else None,
     )
 
 

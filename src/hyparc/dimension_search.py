@@ -72,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .arrangement import Arrangement, compute_m, refuse_above_scan_limit
+from .arrangement import Arrangement, refuse_above_scan_limit
 from .exact_linalg import (
     IntRows,
     InternalError,
@@ -137,7 +137,7 @@ class SpanCache:
 
     def __init__(self, a: Arrangement):
         self.a = a
-        self.vectors = a.form_vectors()
+        self.vectors = a.vectors
         self.all_indices = frozenset(range(a.r))
         self._span: dict[frozenset, Subspace] = {}
         self._overlap: dict[frozenset, Subspace] = {}
@@ -407,7 +407,7 @@ def achievable_dimensions(a: Arrangement) -> DimensionReport:
     baseline m + 1.  Every dimension from 0 up to d_max is achievable
     (witnesses of any smaller dimension exist; see the witness module).
     """
-    m = compute_m(a)
+    m = a.m
     parts, witness = max_valid_parts(a)
     d_max = m + parts if parts is not None else m + 1
     if d_max > a.n or d_max < m + 1:

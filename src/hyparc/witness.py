@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arrangement import Arrangement, compute_m
+from .arrangement import Arrangement
 from .dimension_search import Blocks, SpanCache, check_partition
 from .exact_linalg import (
     InternalError,
@@ -127,7 +127,7 @@ def _cond_check(restrictions: Sequence[Vector], param_dim: int) -> CondCheck:
 def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
     """Normalize a point parametrization and attach its verification record."""
     points = span([vector(row) for row in point_rows], a.n + 1)
-    restrictions = tuple(_restrictions(points.basis, a.form_vectors()))
+    restrictions = tuple(_restrictions(points.basis, a.vectors))
     return WitnessSubspace(
         point_basis=points.basis,
         dim=points.rank - 1,
@@ -138,7 +138,7 @@ def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubsp
 
 def verify_cond(a: Arrangement, y: WitnessSubspace) -> CondCheck:
     """Re-run the witness verification from the point basis alone."""
-    return _cond_check(_restrictions(y.point_basis, a.form_vectors()), len(y.point_basis))
+    return _cond_check(_restrictions(y.point_basis, a.vectors), len(y.point_basis))
 
 
 def generic_avoiding_extension(
@@ -204,7 +204,7 @@ def _check_chain_step(
         f"chain step {step}: block intersection is not a hyperplane of the block span",
     )
     _assert(
-        not any(contains(u_next, v) for v in a.form_vectors()),
+        not any(contains(u_next, v) for v in a.vectors),
         f"chain step {step}: a form of the arrangement entered the chain space",
     )
     decomposed = span(
@@ -231,7 +231,7 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
         raise ValueError(
             f"partition fails the separation criterion (form {chk.violating_form})"
         )
-    vecs = a.form_vectors()
+    vecs = a.vectors
     block_spans = [cache.span_of(frozenset(b)) for b in partition]
     spaces = [chk.w_space]
     for i, block in enumerate(partition, start=1):
@@ -242,7 +242,7 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
         u_next = sum_spaces(spaces[-1], hyperplane)
         _check_chain_step(a, block_spans, spaces[-1], u_next, i)
         spaces.append(u_next)
-    d = compute_m(a) + len(partition)
+    d = a.m + len(partition)
     _assert(
         spaces[-1].rank == a.n - d,
         f"final chain space has rank {spaces[-1].rank}, expected {a.n - d}",
@@ -255,7 +255,7 @@ def witness_subspace(chain: UChain) -> WitnessSubspace:
     a = chain.arrangement
     points = zero_set(chain.spaces[-1])
     w = make_witness(a, points.basis)
-    d = compute_m(a) + len(chain.partition)
+    d = a.m + len(chain.partition)
     _assert(w.dim == d, f"witness has dimension {w.dim}, expected {d}")
     _assert(w.verification.ok, f"witness verification failed: {w.verification.diagnostics}")
     return w
@@ -279,8 +279,8 @@ def build_witness_for_mplus1(a: Arrangement) -> WitnessSubspace:
     the common intersection of the arrangement extended by one generic point,
     so all restrictions collapse to a single projective class.
     """
-    m = compute_m(a)
-    forms = a.form_vectors()
+    m = a.m
+    forms = a.vectors
     point = _generic_point(forms, a.n + 1)
     if m == -1:
         rows: list[Vector] = [point]
@@ -345,8 +345,7 @@ def induced_partition(a: Arrangement, y: WitnessSubspace) -> Optional[Blocks]:
     check = verify_cond(a, y)
     if not check.ok:
         raise ValueError("witness does not verify")
-    m = compute_m(a)
-    target = y.dim - m
+    target = y.dim - a.m
     if target < 2:
         return None
     groups = [list(idxs) for _, idxs in check.classes]

@@ -4,8 +4,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyparc.arrangement import (
+    Arrangement,
     ArrangementError,
     compute_m,
     compute_s,
@@ -13,9 +16,22 @@ from hyparc.arrangement import (
     load,
     profile,
 )
-from hyparc.exact_linalg import span
+from hyparc.corollaries import verdict
+from hyparc.exact_linalg import int_rank, span
 
-from .corpus import moment_curve_arrangement, random_arrangement
+from .corpus import (
+    arrangements,
+    moment_curve_arrangement,
+    random_arrangement,
+    sparse_arrangements,
+)
+
+
+def subset_general_position(a: Arrangement) -> bool:
+    """Oracle: rank every subset of min(r, n+1) forms."""
+    coeffs = [f.coeffs for f in a.forms]
+    k = min(a.r, a.n + 1)
+    return all(int_rank(combo) == k for combo in combinations(coeffs, k))
 
 
 class TestLoad:
@@ -79,7 +95,7 @@ class TestComputeS:
     def test_five_general_position_lines(self):
         a = moment_curve_arrangement(2, 5)
         # Every 3-subset has rank 3 (Vandermonde), so no 3 lines meet.
-        for combo in combinations(a.form_vectors(), 3):
+        for combo in combinations(a.vectors, 3):
             assert span(combo, 3).rank == 3
         assert compute_s(a) == 2
 
@@ -91,7 +107,7 @@ class TestComputeS:
         rng = random.Random(7)
         for _ in range(30):
             a = random_arrangement(rng, rng.randint(1, 3), rng.randint(1, 6))
-            vecs = a.form_vectors()
+            vecs = a.vectors
             oracle = max(
                 len(combo)
                 for k in range(1, a.r + 1)
@@ -120,13 +136,22 @@ class TestGeneralPosition:
             a = random_arrangement(rng, rng.randint(1, 3), rng.randint(1, 6))
             gp = is_general_position(a)
             if a.r <= a.n + 1:
-                expected = span(a.form_vectors(), a.n + 1).rank == a.r
+                expected = span(a.vectors, a.n + 1).rank == a.r
             else:
                 expected = compute_s(a) == a.n and all(
                     span(combo, a.n + 1).rank == a.n + 1
-                    for combo in combinations(a.form_vectors(), a.n + 1)
+                    for combo in combinations(a.vectors, a.n + 1)
                 )
             assert gp == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(arrangements(), sparse_arrangements()))
+    def test_rank_and_s_rule_matches_subset_oracle(self, a):
+        gp = is_general_position(a)
+        assert gp == subset_general_position(a)
+        v = verdict(a)
+        if v.gp_bound is not None:  # r > s: general position is s = n
+            assert v.gp_bound_achieved == profile(a).general_position == (a.s == a.n)
 
 
 class TestProfile:

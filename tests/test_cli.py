@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hyparc import cli
+from hyparc import arrangement, cli
 from hyparc.arrangement import load
 from hyparc.witness import make_witness
 
@@ -110,6 +110,40 @@ class TestAnalyze:
         )
         assert "timing_seconds" in json.loads(result.output)
 
+    def test_text_timing_prints_the_timing(self, runner):
+        timed = runner.invoke(
+            cli.main, ["analyze", "--text", "--timing", "-"], input=four_lines_doc()
+        )
+        plain = runner.invoke(cli.main, ["analyze", "--text", "-"], input=four_lines_doc())
+        assert timed.exit_code == plain.exit_code == 0
+        assert timed.output.splitlines()[-1].startswith("timing: ")
+        assert timed.output.endswith(" s\n")
+        assert "timing" not in plain.output
+
+    def test_non_utf8_file_is_an_input_error(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        result = runner.invoke(cli.main, ["analyze", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("input error: ")
+
+    @pytest.mark.parametrize("form", [
+        "[1, " + "9" * 5000 + "]", '["1/' + "9" * 5000 + '", 1]',
+    ], ids=["integer", "fraction"])
+    def test_coefficient_beyond_the_int_str_digit_limit(self, form):
+        # A subprocess, because another test in this process may have lifted
+        # the interpreter's int/str conversion limit already.  Both forms are
+        # the projective class of (1, 99...9).
+        doc = '{"n": 1, "forms": [' + form + ', [0, 1]]}'
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyparc.cli", "analyze", "-"],
+            input=doc, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout, parse_int=str)
+        assert out["forms"] == [["0", "1"], ["1", "9" * 5000]]
+
     def test_input_error_exit_code(self, runner):
         result = runner.invoke(
             cli.main, ["analyze", "-"], input='{"n": 2, "forms": [[0, 0, 0]]}'
@@ -144,6 +178,35 @@ class TestAnalyze:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["d_max"] == 1
+
+
+def counting(monkeypatch, name):
+    """Count the calls of ``arrangement.<name>`` through every hyparc module."""
+    original = getattr(arrangement, name)
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "hyparc"]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+class TestFactsComputedOnce:
+    @pytest.mark.parametrize("kind, n, r", [
+        ("general_position", 2, 5), ("random", 3, 7), ("pencil", 3, 4),
+    ])
+    def test_one_report_computes_rank_and_s_once(self, monkeypatch, kind, n, r):
+        s_calls = counting(monkeypatch, "compute_s")
+        m_calls = counting(monkeypatch, "compute_m")
+        doc = cli.generate_document(kind, n, r)
+        cli.build_report(load(doc["n"], doc["forms"]))
+        assert len(s_calls) == 1
+        assert len(m_calls) == 1
 
 
 class TestGenerate:

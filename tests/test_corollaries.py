@@ -21,7 +21,7 @@ from .corpus import arrangements, moment_curve_arrangement, random_arrangement
 
 def zassenhaus_finiteness(a: Arrangement) -> bool:
     """Oracle: the finiteness scan by Fraction spans and Zassenhaus intersections."""
-    vecs = a.form_vectors()
+    vecs = a.vectors
     if span(vecs, a.n + 1).rank != a.n + 1:
         return False
     r = a.r

@@ -68,7 +68,7 @@ class TestGenericAvoidingExtension:
 
 
 def assert_chain_invariants(a, chain):
-    vecs = a.form_vectors()
+    vecs = a.vectors
     spans = [span([vecs[i] for i in b], a.n + 1) for b in chain.partition]
     for i, u in enumerate(chain.spaces):
         if i > 0:
@@ -173,7 +173,7 @@ class TestBaselineWitness:
         w = build_witness_for_mplus1(a)
         assert w.dim == 2
         assert len(w.verification.classes) == 1
-        core = zero_set(span(a.form_vectors(), 4))
+        core = zero_set(span(a.vectors, 4))
         y = span(w.point_basis, 4)
         assert all(contains(y, b) for b in core.basis)
 
@@ -190,7 +190,7 @@ class TestShrinkWitness:
         point_w = shrink_witness(FOUR_LINES, w, 0)
         assert point_w.dim == 0
         point = point_w.point_basis[0]
-        for f in FOUR_LINES.form_vectors():
+        for f in FOUR_LINES.vectors:
             assert sum(a * b for a, b in zip(f, point)) != 0
 
     def test_full_space_to_line(self):
