@@ -114,7 +114,10 @@ def build_report(a: Arrangement, with_witness: bool = True) -> dict:
     }
     if with_witness:
         if report.best_partition is not None:
-            chain = witness.build_u_chain(a, report.best_partition)
+            try:
+                chain = witness.build_u_chain(a, report.best_partition)
+            except ValueError as exc:  # the search's own partition: a bug, not bad input
+                raise InternalError(f"the maximal partition has no witness: {exc}") from exc
             w = witness.witness_subspace(chain)
         else:
             w = witness.build_witness_for_mplus1(a)

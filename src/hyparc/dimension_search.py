@@ -4,8 +4,8 @@ A partition of the form set E into p >= 2 blocks is *valid* when no form lies
 in W = sum over blocks of (block span intersected with the span of the other
 blocks).  The maximal achievable dimension is m + p_max over valid
 partitions, with the guaranteed baseline m + 1 when no partition with at
-least two blocks is valid.  ``check_partition`` computes W itself; the
-witness uses it, and the tests use it and ``brute_force_max_parts`` as
+least two blocks is valid.  ``check_partition`` computes W itself in
+``Fraction`` arithmetic; the tests use it and ``brute_force_max_parts`` as
 oracles.  The search works in the matroid of the forms instead (flats,
 closure and connected components as in Oxley, *Matroid Theory*).  A set of
 forms is a *flat* when it contains every form in its span, and *clopen* when
@@ -160,7 +160,7 @@ class SpanCache:
         return cached
 
 
-def _validate_partition(a: Arrangement, blocks: Blocks) -> None:
+def validate_partition(a: Arrangement, blocks: Blocks) -> None:
     seen: set[int] = set()
     if len(blocks) < 2:
         raise ValueError("partition must have at least 2 blocks")
@@ -185,7 +185,7 @@ def check_partition(
     Computes W = sum over blocks of (block span ∩ span of the other blocks)
     and reports the first form (in canonical order) lying in W, if any.
     """
-    _validate_partition(a, blocks)
+    validate_partition(a, blocks)
     if cache is None:
         cache = SpanCache(a)
     w_rows: list = []
@@ -320,7 +320,7 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
         hit = best.get(uncovered)
         if hit is not None:
             return hit if hit[0] >= need else None
-        if upper(uncovered) < need:
+        if need > 1 and upper(uncovered) < need:  # every form is nonzero: rank >= 1
             return None
         forms = [i for i in range(k) if uncovered >> i & 1]
         top = None

@@ -2,10 +2,12 @@
 
 Two representations, both exact; no floating point is used anywhere.
 
-* Integer echelon rows answer yes/no rank questions (rank, span membership,
-  flats).  The forms are primitive integer vectors already, so elimination
-  is fraction-free: each step cross-multiplies and divides the result by the
-  gcd of its entries, which keeps every row a primitive integer vector.
+* Integer echelon rows answer rank questions (rank, span membership,
+  flats) and carry the witness's chain spaces: ``int_intersect`` (Zassenhaus)
+  and ``int_nullspace`` run on the same ``int_echelon``.  The forms are
+  primitive integer vectors already, so elimination is fraction-free: each
+  step cross-multiplies and divides the result by the gcd of its entries,
+  which keeps every row a primitive integer vector.
 * ``Subspace``, a canonical reduced row-echelon basis of ``Fraction``
   vectors (every pivot 1, pivots strictly increasing, zeros above and below
   each pivot), is used for everything that reaches the output: two subspaces
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -51,13 +53,9 @@ def primitive_vector(coords: Sequence[Fraction]) -> tuple[int, ...]:
     fracs = [Fraction(c) for c in coords]
     if all(c == 0 for c in fracs):
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for c in fracs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    denom_lcm = lcm(*(c.denominator for c in fracs))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in fracs]
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     first = next(v for v in ints if v != 0)
     if first < 0:
@@ -125,6 +123,35 @@ def int_echelon(vectors: Iterable[Sequence[int]]) -> IntRows:
 def int_rank(vectors: Iterable[Sequence[int]]) -> int:
     """Rank of a list of integer vectors."""
     return len(int_echelon(vectors))
+
+
+def int_intersect(
+    u_rows: Iterable[Sequence[int]], v_rows: Iterable[Sequence[int]], width: int
+) -> IntRows:
+    """Integer echelon rows of span(u_rows) ∩ span(v_rows), by Zassenhaus.
+
+    Echelon the stacked rows [u|u] and [v|0].  The pivots are distinct
+    first-nonzero columns, so a combination of the rows whose left half
+    vanishes uses only rows with pivot >= width; their right halves are a
+    basis of the intersection, echelon with their pivots shifted by width.
+    """
+    stacked = [tuple(u) * 2 for u in u_rows] + [tuple(v) + (0,) * width for v in v_rows]
+    return [(p - width, row[width:]) for p, row in int_echelon(stacked) if p >= width]
+
+
+def int_nullspace(rows: Sequence[Sequence[int]], width: int) -> IntRows:
+    """Integer echelon rows of {x : Rx = 0} for the integer row matrix R.
+
+    Echelon [column c of R | unit vector e_c] over the columns; as in
+    ``int_intersect``, the rows whose left half vanished carry a basis of
+    the kernel in their right half.
+    """
+    k = len(rows)
+    augmented = [
+        tuple(row[c] for row in rows) + tuple(int(i == c) for i in range(width))
+        for c in range(width)
+    ]
+    return [(p - k, row[k:]) for p, row in int_echelon(augmented) if p >= k]
 
 
 def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:

@@ -17,27 +17,43 @@ Genericity (choosing hyperplanes or points that avoid finitely many bad
 loci) is realized deterministically by walking the integer moment curve
 (1, t, t^2, ...) for t = 0, 1, 2, ...; each constraint excludes only
 finitely many t, so the walk terminates and the output is reproducible.
+
+Arithmetic.  The chain lives on the integer kernel of ``exact_linalg``:
+each U_i is a list of integer echelon rows, U_0 = W comes from one
+Zassenhaus intersection per block, and the invariants are checked with
+integer residuals, ranks and block intersections.  The zero set of U_p, the
+restrictions' dot products and the rank of their classes are integer too.
+Canonical ``Fraction`` RREF is computed only where a result depends on the
+basis and not just on the space: the moment-curve walk in
+``generic_avoiding_extension`` reads the bases of U_{i-1} ∩ B_i and B_i,
+and the report prints the basis of Y.  Both are canonical, so every U_i is
+the same space, and the witness the same bytes, however U_i is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .arrangement import Arrangement
-from .dimension_search import Blocks, SpanCache, check_partition
+from .dimension_search import Blocks, validate_partition
 from .exact_linalg import (
+    DimensionMismatchError,
+    IntRows,
     InternalError,
     Subspace,
     Vector,
-    contains,
-    intersect,
+    int_echelon,
+    int_intersect,
+    int_nullspace,
+    int_rank,
+    int_residual,
     nullspace,
     primitive_vector,
     reduce_against,
     span,
-    sum_spaces,
     vector,
     zero_set,
 )
@@ -47,11 +63,20 @@ _GENERIC_SEARCH_CAP = 10_000  # far beyond any reachable bad-value count
 
 @dataclass(frozen=True)
 class UChain:
-    """The nested covector spaces U_0 ⊆ ... ⊆ U_p for one valid partition."""
+    """The nested covector spaces U_0 ⊆ ... ⊆ U_p for one valid partition.
+
+    ``rows`` holds each U_i as integer echelon rows; ``spaces`` is the same
+    chain as canonical subspaces.
+    """
 
     arrangement: Arrangement
     partition: Blocks
-    spaces: tuple[Subspace, ...]
+    rows: tuple[IntRows, ...]
+
+    @property
+    def spaces(self) -> tuple[Subspace, ...]:
+        width = self.arrangement.n + 1
+        return tuple(span(_plain(u), width) for u in self.rows)
 
 
 @dataclass(frozen=True)
@@ -81,19 +106,39 @@ def _assert(condition: bool, message: str) -> None:
         raise InternalError(message)
 
 
-def _moment_vector(dim: int, t: int) -> Vector:
-    return tuple(Fraction(t) ** k for k in range(dim))
+def _plain(rows: IntRows) -> list[tuple[int, ...]]:
+    """The integer vectors of echelon rows, without their pivots."""
+    return [row for _, row in rows]
 
 
-def _restrictions(point_basis: Sequence[Vector], forms: Sequence[Vector]) -> list[Vector]:
-    """Each form as a covector on the parameter space of the point basis."""
+def _in(rows: IntRows, v: Sequence[int]) -> bool:
+    """Whether the integer vector v lies in the span of the echelon rows."""
+    return not any(int_residual(rows, v))
+
+
+def _moment_vector(dim: int, t: int) -> tuple[int, ...]:
+    return tuple(t**k for k in range(dim))
+
+
+def _restrictions(
+    point_basis: Sequence[Vector], coeffs: Sequence[Sequence[int]]
+) -> list[Vector]:
+    """Each form as a covector on the parameter space of the point basis.
+
+    Each basis row is scaled to integers by the lcm of its denominators, so
+    an entry is one integer dot product divided by that lcm.
+    """
+    scaled = []
+    for row in point_basis:
+        d = lcm(*(c.denominator for c in row))
+        scaled.append((d, [c.numerator * (d // c.denominator) for c in row]))
     return [
-        tuple(sum(f[c] * row[c] for c in range(len(row))) for row in point_basis)
-        for f in forms
+        tuple(Fraction(sum(x * y for x, y in zip(f, num)), d) for d, num in scaled)
+        for f in coeffs
     ]
 
 
-def _cond_check(restrictions: Sequence[Vector], param_dim: int) -> CondCheck:
+def _cond_check(restrictions: Sequence[Vector]) -> CondCheck:
     vanishing = next(
         (i for i, rho in enumerate(restrictions) if all(c == 0 for c in rho)), None
     )
@@ -112,8 +157,7 @@ def _cond_check(restrictions: Sequence[Vector], param_dim: int) -> CondCheck:
     classes = tuple(
         sorted(((cls, tuple(idxs)) for cls, idxs in groups.items()), key=lambda c: c[1])
     )
-    class_span = span([vector(cls) for cls, _ in classes], param_dim)
-    independent = class_span.rank == len(classes)
+    independent = int_rank(cls for cls, _ in classes) == len(classes)
     return CondCheck(
         ok=independent,
         not_contained=True,
@@ -127,18 +171,18 @@ def _cond_check(restrictions: Sequence[Vector], param_dim: int) -> CondCheck:
 def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
     """Normalize a point parametrization and attach its verification record."""
     points = span([vector(row) for row in point_rows], a.n + 1)
-    restrictions = tuple(_restrictions(points.basis, a.vectors))
+    restrictions = tuple(_restrictions(points.basis, [f.coeffs for f in a.forms]))
     return WitnessSubspace(
         point_basis=points.basis,
         dim=points.rank - 1,
         restrictions=restrictions,
-        verification=_cond_check(restrictions, points.rank),
+        verification=_cond_check(restrictions),
     )
 
 
 def verify_cond(a: Arrangement, y: WitnessSubspace) -> CondCheck:
     """Re-run the witness verification from the point basis alone."""
-    return _cond_check(_restrictions(y.point_basis, a.vectors), len(y.point_basis))
+    return _cond_check(_restrictions(y.point_basis, [f.coeffs for f in a.forms]))
 
 
 def generic_avoiding_extension(
@@ -149,28 +193,32 @@ def generic_avoiding_extension(
     Works in the quotient container/inside: completes the inside basis to a
     basis of the container, expresses each avoid vector there, and picks the
     first moment-curve functional nonzero on every avoid image.  The returned
-    hyperplane is the inside plus that functional's kernel.
+    hyperplane is the inside plus that functional's kernel.  An avoid vector
+    lies in the container iff it has coordinates in that basis, and in the
+    inside iff its coordinates past the inside basis vanish.
     """
     if inside.rank >= container.rank:
         raise ValueError("inside must be a proper subspace of container")
-    for v in avoid:
-        if not contains(container, v):
-            raise ValueError("avoid vector outside the container")
-        if contains(inside, v):
-            raise ValueError("avoid vector lies inside the forced subspace")
     # Complete the inside basis to a basis of the container.
     basis = list(inside.basis)
     for b in container.basis:
         res, _ = reduce_against(basis, b)
         if any(res):
             basis.append(tuple(res))
+    if len(basis) != container.rank:
+        raise ValueError("inside must lie in the container")
     j = inside.rank
     ext = basis[j:]
     quot = len(ext)
     tails = []
     for v in avoid:
+        if len(v) != container.ambient_dim:
+            raise DimensionMismatchError("avoid vector of the wrong length")
         res, coords = reduce_against(basis, v)
-        _assert(not any(res), "avoid vector has no coordinates in container")
+        if any(res):
+            raise ValueError("avoid vector outside the container")
+        if not any(coords[j:]):
+            raise ValueError("avoid vector lies inside the forced subspace")
         tails.append(coords[j:])
     for t in range(_GENERIC_SEARCH_CAP):
         phi = _moment_vector(quot, t)
@@ -188,82 +236,95 @@ def generic_avoiding_extension(
 
 
 def _check_chain_step(
-    a: Arrangement,
-    block_spans: Sequence[Subspace],
-    u_prev: Subspace,
-    u_next: Subspace,
+    coeffs: Sequence[Sequence[int]],
+    block_rows: Sequence[IntRows],
+    u_prev: IntRows,
+    u_next: IntRows,
     step: int,
 ) -> None:
+    """Assert the four chain invariants (module docstring) for U_step."""
+    width = len(coeffs[0])
     _assert(
-        all(contains(u_next, b) for b in u_prev.basis),
+        all(_in(u_next, b) for b in _plain(u_prev)),
         f"chain step {step}: previous space not contained in the new one",
     )
-    meet = intersect(u_next, block_spans[step - 1])
+    meets = [int_intersect(_plain(u_next), _plain(b), width) for b in block_rows]
     _assert(
-        meet.rank == block_spans[step - 1].rank - 1,
+        len(meets[step - 1]) == len(block_rows[step - 1]) - 1,
         f"chain step {step}: block intersection is not a hyperplane of the block span",
     )
     _assert(
-        not any(contains(u_next, v) for v in a.vectors),
+        not any(_in(u_next, v) for v in coeffs),
         f"chain step {step}: a form of the arrangement entered the chain space",
     )
-    decomposed = span(
-        [b for s in block_spans for b in intersect(u_next, s).basis], a.n + 1
-    )
+    parts = [row for meet in meets for row in _plain(meet)]
     _assert(
-        decomposed == u_next,
+        all(_in(u_next, v) for v in parts) and int_rank(parts) == len(u_next),
         f"chain step {step}: space is not the sum of its block intersections",
     )
+
+
+def separation_space(coeffs: Sequence[Sequence[int]], partition: Blocks) -> IntRows:
+    """W = sum over blocks of span(block) ∩ span(other forms), as echelon rows."""
+    width = len(coeffs[0])
+    overlaps = []
+    for block in partition:
+        others = set(range(len(coeffs))) - set(block)
+        meet = int_intersect((coeffs[i] for i in block), (coeffs[i] for i in others), width)
+        overlaps.extend(_plain(meet))
+    return int_echelon(overlaps)
 
 
 def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     """Inductive construction of U_0 ⊆ ... ⊆ U_p for a valid partition.
 
+    U_0 is the separation space W; a partition with a form in W is rejected.
     Each step extends U_{i-1} ∩ B_i to a hyperplane of the block span B_i
     missing every form of the block, and adds it into the chain.  All chain
     invariants are asserted after each step, and the final rank must equal
     (n+1) - (d+1) with d = m + p; any failure is an internal error, since the
     construction provably succeeds on valid partitions.
     """
-    cache = SpanCache(a)
-    chk = check_partition(a, partition, cache)
-    if not chk.valid:
-        raise ValueError(
-            f"partition fails the separation criterion (form {chk.violating_form})"
-        )
-    vecs = a.vectors
-    block_spans = [cache.span_of(frozenset(b)) for b in partition]
-    spaces = [chk.w_space]
+    validate_partition(a, partition)
+    coeffs = [f.coeffs for f in a.forms]
+    width = a.n + 1
+    u = separation_space(coeffs, partition)
+    violating = next((i for i, v in enumerate(coeffs) if _in(u, v)), None)
+    if violating is not None:
+        raise ValueError(f"partition fails the separation criterion (form {violating})")
+    block_rows = [int_echelon(coeffs[i] for i in block) for block in partition]
+    chain = [u]
     for i, block in enumerate(partition, start=1):
-        container = block_spans[i - 1]
-        inside = intersect(spaces[-1], container)
-        avoid = [vecs[idx] for idx in block]
+        # The walk reads canonical bases, so U_i depends on the spaces alone.
+        avoid = [a.vectors[idx] for idx in block]
+        container = span(avoid, width)
+        meet = int_intersect(_plain(u), _plain(block_rows[i - 1]), width)
+        inside = span(_plain(meet), width)
         hyperplane = generic_avoiding_extension(container, inside, avoid)
-        u_next = sum_spaces(spaces[-1], hyperplane)
-        _check_chain_step(a, block_spans, spaces[-1], u_next, i)
-        spaces.append(u_next)
+        u_next = int_echelon(_plain(u) + [primitive_vector(b) for b in hyperplane.basis])
+        _check_chain_step(coeffs, block_rows, u, u_next, i)
+        chain.append(u_next)
+        u = u_next
     d = a.m + len(partition)
     _assert(
-        spaces[-1].rank == a.n - d,
-        f"final chain space has rank {spaces[-1].rank}, expected {a.n - d}",
+        len(u) == a.n - d,
+        f"final chain space has rank {len(u)}, expected {a.n - d}",
     )
-    return UChain(arrangement=a, partition=partition, spaces=tuple(spaces))
+    return UChain(arrangement=a, partition=partition, rows=tuple(chain))
 
 
 def witness_subspace(chain: UChain) -> WitnessSubspace:
     """Y = zero set of the final chain space, verified."""
     a = chain.arrangement
-    points = zero_set(chain.spaces[-1])
-    w = make_witness(a, points.basis)
+    points = int_nullspace(_plain(chain.rows[-1]), a.n + 1)
+    w = make_witness(a, _plain(points))
     d = a.m + len(chain.partition)
     _assert(w.dim == d, f"witness has dimension {w.dim}, expected {d}")
     _assert(w.verification.ok, f"witness verification failed: {w.verification.diagnostics}")
     return w
 
 
-def _generic_point(
-    covectors: Sequence[Vector], dim: int
-) -> Vector:
+def _generic_point(covectors: Sequence[Sequence], dim: int) -> tuple[int, ...]:
     """First moment-curve point of the given dimension off every covector."""
     for t in range(_GENERIC_SEARCH_CAP):
         pt = _moment_vector(dim, t)
@@ -280,13 +341,12 @@ def build_witness_for_mplus1(a: Arrangement) -> WitnessSubspace:
     so all restrictions collapse to a single projective class.
     """
     m = a.m
-    forms = a.vectors
-    point = _generic_point(forms, a.n + 1)
+    coeffs = [f.coeffs for f in a.forms]
+    point = _generic_point(coeffs, a.n + 1)
     if m == -1:
-        rows: list[Vector] = [point]
+        rows = [point]
     else:
-        core = zero_set(span(forms, a.n + 1))
-        rows = list(core.basis) + [point]
+        rows = _plain(int_nullspace(coeffs, a.n + 1)) + [point]
     w = make_witness(a, rows)
     _assert(w.dim == m + 1, f"baseline witness has dimension {w.dim}, expected {m + 1}")
     _assert(w.verification.ok, f"baseline witness failed: {w.verification.diagnostics}")

@@ -155,6 +155,17 @@ class TestAnalyze:
         result = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
         assert result.exit_code == 3
 
+    def test_invalid_partition_from_the_search_is_internal(self, runner, monkeypatch):
+        # {x2, x0+x1+x2} | {x1} | {x0} fails the criterion; the search never
+        # returns it, so its witness failing is a bug, not an input error.
+        monkeypatch.setattr(
+            cli.dimension_search, "max_valid_parts", lambda a: (3, ((0, 3), (1,), (2,)))
+        )
+        result = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
+        assert result.exit_code == 2
+        assert result.stderr.startswith("internal error")
+        assert "separation criterion (form 1)" in result.stderr
+
     def test_usage_error_exit_code(self, runner):
         result = runner.invoke(
             cli.main, ["analyze", "--brute-force", "-"], input=four_lines_doc()

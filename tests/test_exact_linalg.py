@@ -18,6 +18,8 @@ from hyparc.exact_linalg import (
     contains,
     full_space,
     int_echelon,
+    int_intersect,
+    int_nullspace,
     int_rank,
     int_residual,
     intersect,
@@ -257,6 +259,35 @@ def test_is_flat_agrees_with_contains(rows, side):
         contains(u, v) for i, v in enumerate(rows) if i not in side
     )
     assert is_flat(rows, side) == expected
+
+
+def assert_echelon(rows, width):
+    """Each pivot is its row's first nonzero entry, where every later row is zero."""
+    for k, (pivot, row) in enumerate(rows):
+        assert len(row) == width
+        assert next(i for i, x in enumerate(row) if x) == pivot
+        assert all(later[pivot] == 0 for _, later in rows[k + 1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix_strategy(4), int_matrix_strategy(4),
+       st.lists(st.lists(small_entries, min_size=6, max_size=6), max_size=3))
+def test_int_intersect_agrees_with_intersect(u_rows, v_rows, mix):
+    # Combinations of u's rows join v's, so the intersection is often nonzero.
+    v_rows = v_rows + [
+        [sum(c * row[i] for c, row in zip(m, u_rows)) for i in range(4)] for m in mix
+    ]
+    meet = int_intersect(u_rows, v_rows, 4)
+    assert_echelon(meet, 4)
+    assert span([row for _, row in meet], 4) == intersect(span(u_rows, 4), span(v_rows, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix_strategy(4))
+def test_int_nullspace_agrees_with_nullspace(rows):
+    kernel = int_nullspace(rows, 4)
+    assert_echelon(kernel, 4)
+    assert span([row for _, row in kernel], 4) == nullspace(rows, 4)
 
 
 class TestIntegerKernel:

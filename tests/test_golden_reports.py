@@ -1,10 +1,17 @@
-"""Golden bytes: ``analyze`` output on a fixed generated corpus.
+"""Golden bytes: ``analyze`` output on fixed generated corpora.
 
-``golden_reports.json`` holds the exit code and the SHA-256 of the stdout
-bytes of ``hyparc analyze -`` for every ``generate`` kind with n = 1-4 and
-r = 1-8 (seeds 0-1 for ``random``; the other kinds ignore the seed).  Any
-change to a report on this corpus fails here.  To regenerate the file after
-an intended output change::
+Each pinned set holds the exit code and the SHA-256 of the stdout bytes of
+``hyparc analyze -`` for every input of its corpus:
+
+* ``golden_reports.json``: every ``generate`` kind with n = 1-4 and r = 1-8
+  (seeds 0-1 for ``random``; the other kinds ignore the seed);
+* ``golden_long_chains.json``: multi-block inputs whose witness chains are
+  longer, ``random`` with n = 5-7, r = 9-11 and seeds 0-2,
+  ``general_position`` n = 9, r = 12, and 20 coordinate forms in P^19 plus
+  x0 + x1 (a 19-step chain).
+
+Any change to a report on these corpora fails here.  To regenerate both
+files after an intended output change::
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
@@ -20,7 +27,7 @@ from click.testing import CliRunner
 
 from hyparc import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
+HERE = Path(__file__).resolve().parent
 
 
 def golden_inputs() -> dict[str, dict]:
@@ -38,6 +45,30 @@ def golden_inputs() -> dict[str, dict]:
     return docs
 
 
+def long_chain_inputs() -> dict[str, dict]:
+    """Label -> input document for the inputs with long witness chains."""
+    docs = {
+        f"random n={n} r={r} seed={seed}": cli.generate_document("random", n, r, seed)
+        for n in range(5, 8)
+        for r in range(9, 12)
+        for seed in range(3)
+    }
+    docs["general_position n=9 r=12 seed=0"] = cli.generate_document(
+        "general_position", 9, 12
+    )
+    coordinates = [[int(i == j) for j in range(20)] for i in range(20)]
+    docs["coordinates n=19 plus x0+x1"] = {
+        "n": 19, "forms": coordinates + [[1, 1] + [0] * 18],
+    }
+    return docs
+
+
+PINNED = {
+    "golden_reports.json": golden_inputs,
+    "golden_long_chains.json": long_chain_inputs,
+}
+
+
 def run_report(doc: dict) -> dict:
     res = CliRunner().invoke(cli.main, ["analyze", "-"], input=json.dumps(doc))
     return {
@@ -46,19 +77,28 @@ def run_report(doc: dict) -> dict:
     }
 
 
-def compute_golden() -> dict[str, dict]:
-    return {label: run_report(doc) for label, doc in golden_inputs().items()}
+def compute_golden(inputs) -> dict[str, dict]:
+    return {label: run_report(doc) for label, doc in inputs().items()}
 
 
-def test_reports_match_golden_bytes():
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = compute_golden()
+def assert_matches_pinned(name: str) -> None:
+    expected = json.loads((HERE / name).read_text(encoding="utf-8"))
+    actual = compute_golden(PINNED[name])
     assert sorted(actual) == sorted(expected)
     changed = [label for label in expected if actual[label] != expected[label]]
     assert not changed, f"{len(changed)} reports changed, e.g. {changed[:5]}"
 
 
+def test_reports_match_golden_bytes():
+    assert_matches_pinned("golden_reports.json")
+
+
+def test_long_chain_reports_match_golden_bytes():
+    assert_matches_pinned("golden_long_chains.json")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(__doc__)
-    GOLDEN.write_text(json.dumps(compute_golden(), indent=1, sort_keys=True) + "\n")
+    for name, inputs in PINNED.items():
+        (HERE / name).write_text(json.dumps(compute_golden(inputs), indent=1, sort_keys=True) + "\n")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyparc.arrangement import compute_m, load
 from hyparc.dimension_search import (
@@ -11,19 +13,35 @@ from hyparc.dimension_search import (
     check_partition,
     partitions_rgs,
 )
-from hyparc.exact_linalg import contains, span, vector, zero_space, zero_set
+from hyparc.exact_linalg import (
+    InternalError,
+    contains,
+    int_echelon,
+    is_flat,
+    span,
+    vector,
+    zero_space,
+    zero_set,
+)
 from hyparc.witness import (
+    _check_chain_step,
     build_u_chain,
     build_witness_for_mplus1,
     generic_avoiding_extension,
     induced_partition,
     make_witness,
+    separation_space,
     shrink_witness,
     verify_cond,
     witness_subspace,
 )
 
-from .corpus import moment_curve_arrangement, random_arrangement
+from .corpus import (
+    arrangements,
+    moment_curve_arrangement,
+    random_arrangement,
+    sparse_arrangements,
+)
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 VALID_BIPARTITION = ((0, 3), (1, 2))  # {x2, x0+x1+x2} vs {x1, x0}
@@ -111,6 +129,78 @@ class TestUChain:
                 assert chain.spaces[-1].rank == a.n - d
                 built += 1
                 break
+
+
+def partitions_of(a):
+    """Every partition of the forms of ``a`` into at least two blocks."""
+    for rgs in partitions_rgs(a.r):
+        blocks = blocks_of(rgs)
+        if len(blocks) >= 2:
+            yield blocks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(arrangements(max_r=8), sparse_arrangements(max_r=8)))
+def test_separation_space_matches_check_partition(a):
+    # The valid partitions come from the block rule (every block clopen),
+    # not from the integer W under test.
+    coeffs = [f.coeffs for f in a.forms]
+    for blocks in partitions_of(a):
+        if all(is_flat(coeffs, b) and is_flat(coeffs, set(range(a.r)) - set(b)) for b in blocks):
+            chk = check_partition(a, blocks)
+            assert chk.valid
+            w = separation_space(coeffs, blocks)
+            assert span([row for _, row in w], a.n + 1) == chk.w_space
+
+
+@settings(max_examples=15, deadline=None)
+@given(arrangements(max_r=6))
+def test_every_partition_matches_check_partition(a):
+    # W on every partition, and the form an invalid one is rejected for.
+    coeffs = [f.coeffs for f in a.forms]
+    for blocks in partitions_of(a):
+        chk = check_partition(a, blocks)
+        w = separation_space(coeffs, blocks)
+        assert span([row for _, row in w], a.n + 1) == chk.w_space
+        if not chk.valid:
+            with pytest.raises(ValueError, match=rf"criterion \(form {chk.violating_form}\)"):
+                build_u_chain(a, blocks)
+
+
+class TestChainStepCheck:
+    """Each chain invariant is asserted: a wrong U_i fails its own check."""
+
+    # e3, e2, e1, e0, e0+e1 after load's sorting; block (2, 3, 4) goes first,
+    # so U_1 is a line in span(e0, e1) and step 2 adds the block {e3}.
+    A = load(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
+    PARTITION = ((2, 3, 4), (0,), (1,))
+
+    def check_step_two(self, extra=None):
+        """Check U_2 = U_1 + extra, or U_2 = 0 without extra; the real U_2 passes."""
+        coeffs = [f.coeffs for f in self.A.forms]
+        chain = build_u_chain(self.A, self.PARTITION)
+        block_rows = [int_echelon(coeffs[i] for i in b) for b in self.PARTITION]
+        u_1 = chain.rows[1]
+        assert len(u_1) == 1
+        _check_chain_step(coeffs, block_rows, u_1, chain.rows[2], 2)
+        u_2 = [] if extra is None else int_echelon([row for _, row in u_1] + [extra])
+        _check_chain_step(coeffs, block_rows, u_1, u_2, 2)
+
+    def test_previous_space_must_be_contained(self):
+        with pytest.raises(InternalError, match="previous space not contained"):
+            self.check_step_two()
+
+    def test_block_meet_must_be_a_hyperplane(self):
+        with pytest.raises(InternalError, match="not a hyperplane"):
+            self.check_step_two((0, 0, 0, 1))
+
+    def test_no_form_may_enter(self):
+        with pytest.raises(InternalError, match="a form of the arrangement entered"):
+            self.check_step_two((0, 0, 1, 0))
+
+    def test_space_must_be_the_sum_of_its_block_meets(self):
+        with pytest.raises(InternalError, match="not the sum of its block intersections"):
+            self.check_step_two((0, 0, 1, 1))
 
 
 class TestWitnessSubspace:
