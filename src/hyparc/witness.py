@@ -20,8 +20,10 @@ finitely many t, so the walk terminates and the output is reproducible.
 
 Arithmetic.  The chain lives on the integer kernel of ``exact_linalg``:
 each U_i is a list of integer echelon rows, U_0 = W comes from one
-Zassenhaus intersection per block, and the invariants are checked with
-integer residuals, ranks and block intersections.  The zero set of U_p, the
+Zassenhaus intersection per block but the last, and the invariants are
+checked with integer residuals, ranks and block intersections.  Step i
+extends the block intersection U_{i-1} ∩ B_i that the check of U_{i-1}
+(for U_0, the sum giving W) already computed.  The zero set of U_p, the
 restrictions' dot products and the rank of their classes are integer too.
 Canonical ``Fraction`` RREF is computed only where a result depends on the
 basis and not just on the space: the moment-curve walk in
@@ -65,18 +67,12 @@ _GENERIC_SEARCH_CAP = 10_000  # far beyond any reachable bad-value count
 class UChain:
     """The nested covector spaces U_0 ⊆ ... ⊆ U_p for one valid partition.
 
-    ``rows`` holds each U_i as integer echelon rows; ``spaces`` is the same
-    chain as canonical subspaces.
+    ``rows`` holds each U_i as integer echelon rows.
     """
 
     arrangement: Arrangement
     partition: Blocks
     rows: tuple[IntRows, ...]
-
-    @property
-    def spaces(self) -> tuple[Subspace, ...]:
-        width = self.arrangement.n + 1
-        return tuple(span(_plain(u), width) for u in self.rows)
 
 
 @dataclass(frozen=True)
@@ -205,8 +201,6 @@ def generic_avoiding_extension(
         res, _ = reduce_against(basis, b)
         if any(res):
             basis.append(tuple(res))
-    if len(basis) != container.rank:
-        raise ValueError("inside must lie in the container")
     j = inside.rank
     ext = basis[j:]
     quot = len(ext)
@@ -241,8 +235,11 @@ def _check_chain_step(
     u_prev: IntRows,
     u_next: IntRows,
     step: int,
-) -> None:
-    """Assert the four chain invariants (module docstring) for U_step."""
+) -> list[IntRows]:
+    """Assert the four chain invariants (module docstring) for U_step.
+
+    Returns the block meets U_step ∩ B_j, which the next step reads.
+    """
     width = len(coeffs[0])
     _assert(
         all(_in(u_next, b) for b in _plain(u_prev)),
@@ -262,17 +259,26 @@ def _check_chain_step(
         all(_in(u_next, v) for v in parts) and int_rank(parts) == len(u_next),
         f"chain step {step}: space is not the sum of its block intersections",
     )
+    return meets
 
 
-def separation_space(coeffs: Sequence[Sequence[int]], partition: Blocks) -> IntRows:
-    """W = sum over blocks of span(block) ∩ span(other forms), as echelon rows."""
+def block_overlaps(coeffs: Sequence[Sequence[int]], partition: Blocks) -> list[IntRows]:
+    """For each block but the last, span(block) ∩ span(other forms), as echelon rows.
+
+    Their sum is the separation space W.  The last block's overlap adds
+    nothing: a vector in it is a sum of one vector per other block, and each
+    of those lies in its block and in the span of the forms outside it.
+    Every other block lies in the span of the forms outside a block, so W
+    does too, and each overlap is also W ∩ span(block), a block meet of U_0.
+    """
     width = len(coeffs[0])
     overlaps = []
-    for block in partition:
+    for block in partition[:-1]:
         others = set(range(len(coeffs))) - set(block)
-        meet = int_intersect((coeffs[i] for i in block), (coeffs[i] for i in others), width)
-        overlaps.extend(_plain(meet))
-    return int_echelon(overlaps)
+        overlaps.append(
+            int_intersect((coeffs[i] for i in block), (coeffs[i] for i in others), width)
+        )
+    return overlaps
 
 
 def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
@@ -288,7 +294,8 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     validate_partition(a, partition)
     coeffs = [f.coeffs for f in a.forms]
     width = a.n + 1
-    u = separation_space(coeffs, partition)
+    meets = block_overlaps(coeffs, partition)
+    u = int_echelon(row for meet in meets for row in _plain(meet))
     violating = next((i for i, v in enumerate(coeffs) if _in(u, v)), None)
     if violating is not None:
         raise ValueError(f"partition fails the separation criterion (form {violating})")
@@ -297,12 +304,11 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     for i, block in enumerate(partition, start=1):
         # The walk reads canonical bases, so U_i depends on the spaces alone.
         avoid = [a.vectors[idx] for idx in block]
-        container = span(avoid, width)
-        meet = int_intersect(_plain(u), _plain(block_rows[i - 1]), width)
-        inside = span(_plain(meet), width)
+        container = span(_plain(block_rows[i - 1]), width)
+        inside = span(_plain(meets[i - 1]), width)
         hyperplane = generic_avoiding_extension(container, inside, avoid)
         u_next = int_echelon(_plain(u) + [primitive_vector(b) for b in hyperplane.basis])
-        _check_chain_step(coeffs, block_rows, u, u_next, i)
+        meets = _check_chain_step(coeffs, block_rows, u, u_next, i)
         chain.append(u_next)
         u = u_next
     d = a.m + len(partition)

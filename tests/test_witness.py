@@ -17,6 +17,7 @@ from hyparc.exact_linalg import (
     InternalError,
     contains,
     int_echelon,
+    intersect,
     is_flat,
     span,
     vector,
@@ -25,12 +26,12 @@ from hyparc.exact_linalg import (
 )
 from hyparc.witness import (
     _check_chain_step,
+    block_overlaps,
     build_u_chain,
     build_witness_for_mplus1,
     generic_avoiding_extension,
     induced_partition,
     make_witness,
-    separation_space,
     shrink_witness,
     verify_cond,
     witness_subspace,
@@ -85,15 +86,18 @@ class TestGenericAvoidingExtension:
             generic_avoiding_extension(u, u, [])
 
 
+def chain_spaces(chain):
+    """The chain as canonical ``Fraction`` subspaces."""
+    return [span([row for _, row in u], chain.arrangement.n + 1) for u in chain.rows]
+
+
 def assert_chain_invariants(a, chain):
     vecs = a.vectors
     spans = [span([vecs[i] for i in b], a.n + 1) for b in chain.partition]
-    for i, u in enumerate(chain.spaces):
+    spaces = chain_spaces(chain)
+    for i, u in enumerate(spaces):
         if i > 0:
-            prev = chain.spaces[i - 1]
-            assert all(contains(u, b) for b in prev.basis)
-            from hyparc.exact_linalg import intersect
-
+            assert all(contains(u, b) for b in spaces[i - 1].basis)
             assert intersect(u, spans[i - 1]).rank == spans[i - 1].rank - 1
         assert not any(contains(u, v) for v in vecs)
 
@@ -101,14 +105,15 @@ def assert_chain_invariants(a, chain):
 class TestUChain:
     def test_four_lines_chain(self):
         chain = build_u_chain(FOUR_LINES, VALID_BIPARTITION)
-        assert chain.spaces[0] == span([(1, 1, 0)])
-        assert chain.spaces[-1].rank == 1  # n - d = 2 - 1
+        spaces = chain_spaces(chain)
+        assert spaces[0] == span([(1, 1, 0)])
+        assert spaces[-1].rank == 1  # n - d = 2 - 1
         assert_chain_invariants(FOUR_LINES, chain)
 
     def test_independent_forms_singletons(self):
         a = load(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         chain = build_u_chain(a, ((0,), (1,), (2,), (3,)))
-        assert all(u == zero_space(4) for u in chain.spaces)
+        assert all(u == zero_space(4) for u in chain_spaces(chain))
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
@@ -126,9 +131,14 @@ class TestUChain:
                 chain = build_u_chain(a, blocks)
                 assert_chain_invariants(a, chain)
                 d = compute_m(a) + len(blocks)
-                assert chain.spaces[-1].rank == a.n - d
+                assert len(chain.rows[-1]) == a.n - d
                 built += 1
                 break
+
+
+def separation_space(coeffs, blocks, width):
+    """W as a canonical subspace, summed from the integer block overlaps."""
+    return span([row for meet in block_overlaps(coeffs, blocks) for _, row in meet], width)
 
 
 def partitions_of(a):
@@ -149,19 +159,22 @@ def test_separation_space_matches_check_partition(a):
         if all(is_flat(coeffs, b) and is_flat(coeffs, set(range(a.r)) - set(b)) for b in blocks):
             chk = check_partition(a, blocks)
             assert chk.valid
-            w = separation_space(coeffs, blocks)
-            assert span([row for _, row in w], a.n + 1) == chk.w_space
+            assert separation_space(coeffs, blocks, a.n + 1) == chk.w_space
 
 
 @settings(max_examples=15, deadline=None)
 @given(arrangements(max_r=6))
 def test_every_partition_matches_check_partition(a):
-    # W on every partition, and the form an invalid one is rejected for.
+    # W and its block meets on every partition, and the form an invalid one
+    # is rejected for.
     coeffs = [f.coeffs for f in a.forms]
     for blocks in partitions_of(a):
         chk = check_partition(a, blocks)
-        w = separation_space(coeffs, blocks)
-        assert span([row for _, row in w], a.n + 1) == chk.w_space
+        assert separation_space(coeffs, blocks, a.n + 1) == chk.w_space
+        # Each overlap is W ∩ span(block), the block meet build_u_chain starts from.
+        for b, meet in zip(blocks, block_overlaps(coeffs, blocks)):
+            block_span = span([coeffs[i] for i in b], a.n + 1)
+            assert span([row for _, row in meet], a.n + 1) == intersect(chk.w_space, block_span)
         if not chk.valid:
             with pytest.raises(ValueError, match=rf"criterion \(form {chk.violating_form}\)"):
                 build_u_chain(a, blocks)
