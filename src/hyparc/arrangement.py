@@ -40,7 +40,7 @@ from typing import Sequence
 from .exact_linalg import IntRows, Vector, int_rank, int_residual, primitive_vector, vector
 
 
-BIPARTITION_SCAN_LIMIT = 22  # largest r the partition search and the finiteness scan accept
+BIPARTITION_SCAN_LIMIT = 22  # largest r the partition search and the finiteness verdict accept
 
 
 class ArrangementError(ValueError):

@@ -9,9 +9,10 @@ rejected.  The analyze report is deterministic: re-running on the same input
 produces byte-identical output (timing is only included on request).
 
 Exit codes: 0 success, 1 input or usage error, 2 internal assertion failure
-(theorem-violating state, i.e. a bug), 3 cross-check discrepancy, 4 refused
-(valid input with more than 22 forms, the limit of the partition search and
-the finiteness scan).
+(theorem-violating state, i.e. a bug: any error other than a refusal raised
+after the input was validated), 3 cross-check discrepancy, 4 refused (valid
+input with more than 22 forms, the limit of the partition search; the
+finiteness verdict keeps the same limit until a work budget replaces it).
 """
 
 from __future__ import annotations
@@ -114,11 +115,7 @@ def build_report(a: Arrangement, with_witness: bool = True) -> dict:
     }
     if with_witness:
         if report.best_partition is not None:
-            try:
-                chain = witness.build_u_chain(a, report.best_partition)
-            except ValueError as exc:  # the search's own partition: a bug, not bad input
-                raise InternalError(f"the maximal partition has no witness: {exc}") from exc
-            w = witness.witness_subspace(chain)
+            w = witness.witness_subspace(witness.build_u_chain(a, report.best_partition))
         else:
             w = witness.build_witness_for_mplus1(a)
         doc["witness_subspace"] = {
@@ -214,15 +211,12 @@ def cmd_analyze(input_path, no_witness, fmt, timing):
     started = time.monotonic()
     try:
         doc = build_report(arrangement, with_witness=not no_witness)
-    except InternalError as exc:
-        click.echo(f"internal error (theorem-violating state): {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
     except RefusedError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_REFUSED)
-    except ValueError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    except (InternalError, ValueError) as exc:  # ``load`` validated the input: a bug
+        click.echo(f"internal error (theorem-violating state): {exc}", err=True)
+        sys.exit(EXIT_INTERNAL)
     if timing:
         doc["timing_seconds"] = round(time.monotonic() - started, 3)
     if fmt == "json":

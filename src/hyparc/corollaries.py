@@ -1,11 +1,11 @@
 """Independent verdicts used as cross-checks against the partition search.
 
-* Finiteness / hyperbolicity: the common intersection is empty and, for
-  every proper nonempty subset of the forms, some form lies in the span of
-  the subset intersected with the span of its complement.  Equivalently, no
-  bipartition has two flats as its sides (see ``dimension_search``).  This
-  is decided by a direct bipartition scan of its own, independent of the
-  search module, and runs once per analysis.
+* Finiteness / hyperbolicity (Evertse–Győry): the common intersection is
+  empty and no set of forms other than the empty set and the whole set E
+  is clopen, i.e. a flat whose complement is a flat too (the bipartition
+  rule of ``dimension_search``).  This is decided by a two-sided closure
+  search of its own, separate from the search module's, and runs once per
+  analysis.
 * General-position bound: when more hyperplanes than can meet at a point,
   the maximal dimension is at most floor(s / (r - s)), with equality for
   arrangements in general position.  When r > s, general position is the
@@ -23,7 +23,7 @@ from typing import Optional
 
 from .arrangement import Arrangement, is_general_position, refuse_above_scan_limit
 from .dimension_search import DimensionReport
-from .exact_linalg import is_flat
+from .exact_linalg import int_residual
 
 
 @dataclass(frozen=True)
@@ -33,25 +33,74 @@ class Verdict:
     gp_bound_achieved: Optional[bool]
 
 
+def _closed_with(side: int, outside: dict, u: int, other: int):
+    """Closure of the flat ``side`` plus form ``u``; None when it meets ``other``.
+
+    Sets of forms are bitmasks.  ``outside`` maps each form not in ``side``
+    to its residual against span(side).  Reducing each residual by the one
+    row of ``u`` gives the residuals against the grown span; a zero residual
+    puts its form into the closure.  Returns the closed side and its new
+    ``outside`` map.
+    """
+    row = outside[u]
+    step = [(next(j for j, x in enumerate(row) if x), row)]
+    side |= 1 << u
+    still_outside = {}
+    for e, res in outside.items():
+        if e == u:
+            continue
+        res = int_residual(step, res)
+        if any(res):
+            still_outside[e] = res
+        elif other >> e & 1:
+            return None
+        else:
+            side |= 1 << e
+    return side, still_outside
+
+
+def _clopen_split(full: int, a_side: int, a_out: dict, b_side: int, b_out: dict) -> bool:
+    """True iff the flats A and B grow into a split of ``full`` with B nonempty.
+
+    The highest undecided form joins A or B, and that side is closed again;
+    a branch dies when the closure reaches the other side.
+    """
+    undecided = full & ~(a_side | b_side)
+    if not undecided:
+        return b_side != 0
+    u = undecided.bit_length() - 1
+    grown = _closed_with(a_side, a_out, u, b_side)
+    if grown is not None and _clopen_split(full, *grown, b_side, b_out):
+        return True
+    grown = _closed_with(b_side, b_out, u, a_side)
+    return grown is not None and _clopen_split(full, a_side, a_out, *grown)
+
+
 def finiteness_verdict(a: Arrangement) -> bool:
     """True iff every point set on the complement is finite.
 
-    Equivalently the complement is Brody hyperbolic.  Scans every proper
-    nonempty subset (up to complement symmetry) with early exit on the first
-    subset whose span/complement-span overlap misses all forms, i.e. the
-    first subset that is a flat with a flat complement.
+    Equivalently the complement is Brody hyperbolic: m = -1 and no proper
+    nonempty subset of the set E of forms is clopen.  The search starts
+    with the highest form on side A and an empty side B, puts the highest
+    undecided form on one side, closes that side, and stops at the first
+    leaf with B nonempty.
+
+    * Soundness: both sides stay flats, because each is closed after every
+      form it receives, and a branch whose closures meet dies.  So every
+      leaf is a bipartition of E into two disjoint flats, and one with B
+      nonempty is a clopen split.
+    * Completeness: let (S, E∖S) be a clopen split with the highest form in
+      S.  The branch that puts each form on its side of the split keeps A
+      inside S and B inside E∖S, because the closure of a subset of a flat
+      stays inside that flat.  So it never dies and ends at the leaf
+      (S, E∖S), where B is nonempty.
     """
-    refuse_above_scan_limit(a, "finiteness scan")
+    refuse_above_scan_limit(a, "finiteness verdict")
     if a.m != -1:
         return False
-    coeffs = [f.coeffs for f in a.forms]
-    r = a.r
-    for mask in range(2 ** (r - 1) - 1):
-        side = {0} | {k + 1 for k in range(r - 1) if mask >> k & 1}
-        comp = [i for i in range(r) if i not in side]
-        if is_flat(coeffs, side) and is_flat(coeffs, comp):
-            return False
-    return True
+    residuals = {i: f.coeffs for i, f in enumerate(a.forms)}
+    start = _closed_with(0, residuals, a.r - 1, 0)
+    return not _clopen_split((1 << a.r) - 1, *start, 0, residuals)
 
 
 def general_position_bound(a: Arrangement) -> Optional[int]:

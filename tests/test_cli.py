@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from hyparc import arrangement, cli
 from hyparc.arrangement import load
+from hyparc.exact_linalg import DimensionMismatchError
 from hyparc.witness import make_witness
 
 
@@ -165,6 +166,18 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert result.stderr.startswith("internal error")
         assert "separation criterion (form 1)" in result.stderr
+
+    def test_error_after_load_is_internal(self, runner, monkeypatch):
+        # The input is valid once ``load`` accepts it, so a ValueError from a
+        # later stage is a bug, not an input error.
+        def mismatch(chain):
+            raise DimensionMismatchError("operands in different dimensions")
+
+        monkeypatch.setattr(cli.witness, "witness_subspace", mismatch)
+        result = runner.invoke(cli.main, ["analyze", "-"], input=four_lines_doc())
+        assert result.exit_code == 2
+        assert result.stderr.startswith("internal error")
+        assert "operands in different dimensions" in result.stderr
 
     def test_usage_error_exit_code(self, runner):
         result = runner.invoke(

@@ -16,7 +16,12 @@ from hyparc.corollaries import (
 from hyparc.dimension_search import achievable_dimensions
 from hyparc.exact_linalg import contains, intersect, span
 
-from .corpus import arrangements, moment_curve_arrangement, random_arrangement
+from .corpus import (
+    arrangements,
+    moment_curve_arrangement,
+    random_arrangement,
+    sparse_arrangements,
+)
 
 
 def zassenhaus_finiteness(a: Arrangement) -> bool:
@@ -56,6 +61,23 @@ class TestFinitenessVerdict:
         with pytest.raises(ValueError, match="refused"):
             finiteness_verdict(moment_curve_arrangement(2, 23))
 
+    def test_direct_sum_of_finite_arrangements_is_not_finite(self):
+        # Each summand is finite, so its forms admit no clopen split; the
+        # forms of one summand are a clopen set of the sum.
+        part = moment_curve_arrangement(2, 5)
+        rows = [f.coeffs + (0,) * 3 for f in part.forms]
+        rows += [(0,) * 3 + f.coeffs for f in part.forms]
+        a = load(5, rows)
+        assert finiteness_verdict(part)
+        assert a.m == -1
+        assert not finiteness_verdict(a)
+        assert not zassenhaus_finiteness(a)
+
+    def test_answers_at_the_form_limit(self):
+        # r >= 2n + 1 forms in general position are finite.  The verdict must
+        # answer here without walking all 2^21 bipartitions.
+        assert finiteness_verdict(moment_curve_arrangement(2, 22))
+
     def test_agrees_with_search(self):
         rng = random.Random(17)
         for _ in range(30):
@@ -67,6 +89,12 @@ class TestFinitenessVerdict:
 @settings(max_examples=60, deadline=None)
 @given(arrangements(max_r=9))
 def test_finiteness_matches_zassenhaus_scan(a):
+    assert finiteness_verdict(a) == zassenhaus_finiteness(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_arrangements(max_r=9))
+def test_finiteness_matches_zassenhaus_scan_on_split_matroids(a):
     assert finiteness_verdict(a) == zassenhaus_finiteness(a)
 
 
