@@ -7,9 +7,7 @@ complement), and produce a certified witness subspace of the maximal
 dimension.
 """
 
-from .arrangement import (
-    Arrangement, ArrangementProfile, LinearForm, RefusedError, load, profile
-)
+from .arrangement import Arrangement, ArrangementProfile, RefusedError, load, profile
 from .corollaries import Verdict, cross_check, finiteness_verdict, general_position_bound
 from .dimension_search import (
     DimensionReport,
@@ -42,7 +40,6 @@ from .witness import (
 __all__ = [
     "Arrangement",
     "ArrangementProfile",
-    "LinearForm",
     "RefusedError",
     "load",
     "profile",

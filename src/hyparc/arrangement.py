@@ -11,9 +11,9 @@ vector.  Profiling computes the key combinatorial statistics:
   intersection, i.e. the largest set of forms of rank at most n,
 * general position -- every subset of min(r, n+1) forms is independent.
 
-``Arrangement`` is also the per-arrangement context: m, s and the
-``Fraction`` form vectors are computed on first use and kept, so every
-stage of an analysis reads the same values.
+``Arrangement`` is also the per-arrangement context: its forms are the
+integer rows every stage reads, and m and s are computed on first use and
+kept, so every stage of an analysis reads the same values.
 
 General position follows from rank and s.  When r <= n+1 it says that all
 r forms are independent, i.e. rank = r.  When r > n+1 it holds iff s = n.
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linalg import IntRows, Vector, int_rank, int_residual, primitive_vector, vector
+from .exact_linalg import IntRows, int_rank, int_residual, primitive_vector
 
 
 BIPARTITION_SCAN_LIMIT = 22  # largest r the partition search and the finiteness verdict accept
@@ -51,38 +51,21 @@ class RefusedError(ValueError):
     """Valid input beyond what the exact analysis will attempt."""
 
 
-@dataclass(frozen=True, order=True)
-class LinearForm:
-    """A projective covector, canonicalized to a primitive integer vector."""
-
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_coefficients(cls, coords: Sequence) -> "LinearForm":
-        return cls(primitive_vector([Fraction(c) for c in coords]))
-
-    def vector(self) -> Vector:
-        return vector(self.coeffs)
-
-
 @dataclass(frozen=True)
 class Arrangement:
     """The set of defining forms plus the ambient projective dimension n.
 
-    ``vectors``, ``m`` and ``s`` are computed once, on first use.
+    Each form is a primitive integer vector (``primitive_vector``).  ``m``
+    and ``s`` are computed once, on first use.
     """
 
     n: int
-    forms: tuple[LinearForm, ...]
+    forms: tuple[tuple[int, ...], ...]
     warnings: tuple[str, ...] = ()
 
     @property
     def r(self) -> int:
         return len(self.forms)
-
-    @cached_property
-    def vectors(self) -> tuple[Vector, ...]:
-        return tuple(f.vector() for f in self.forms)
 
     @cached_property
     def m(self) -> int:
@@ -112,7 +95,7 @@ def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
         raise ArrangementError(f"ambient projective dimension must be >= 1, got {n}")
     if not raw_forms:
         raise ArrangementError("empty form list")
-    canonical: list[LinearForm] = []
+    canonical: list[tuple[int, ...]] = []
     warnings: list[str] = []
     seen: dict[tuple[int, ...], int] = {}
     for idx, raw in enumerate(raw_forms):
@@ -123,13 +106,11 @@ def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
             )
         if all(c == 0 for c in coords):
             raise ArrangementError(f"form {idx} is the zero form")
-        form = LinearForm.from_coefficients(coords)
-        if form.coeffs in seen:
-            warnings.append(
-                f"form {idx} is proportional to form {seen[form.coeffs]}; deduplicated"
-            )
+        form = primitive_vector(coords)
+        if form in seen:
+            warnings.append(f"form {idx} is proportional to form {seen[form]}; deduplicated")
             continue
-        seen[form.coeffs] = idx
+        seen[form] = idx
         canonical.append(form)
     canonical.sort()
     return Arrangement(n=n, forms=tuple(canonical), warnings=tuple(warnings))
@@ -146,7 +127,7 @@ def refuse_above_scan_limit(a: Arrangement, what: str) -> None:
 
 def compute_m(a: Arrangement) -> int:
     """Projective dimension of the common intersection of all hyperplanes."""
-    return a.n - int_rank(f.coeffs for f in a.forms)
+    return a.n - int_rank(a.forms)
 
 
 def compute_s(a: Arrangement) -> int:
@@ -157,8 +138,7 @@ def compute_s(a: Arrangement) -> int:
     whose rank reaches n+1; a dependent form is always taken (it enlarges the
     subset without changing the rank).
     """
-    coeffs = [f.coeffs for f in a.forms]
-    r, cap = len(coeffs), a.n
+    forms, r, cap = a.forms, a.r, a.n
     best = 0
 
     def dfs(i: int, rows: IntRows, count: int) -> None:
@@ -168,7 +148,7 @@ def compute_s(a: Arrangement) -> int:
         if i == r:
             best = max(best, count)
             return
-        res = int_residual(rows, coeffs[i])
+        res = int_residual(rows, forms[i])
         pivot = next((j for j, x in enumerate(res) if x), None)
         if pivot is None:
             dfs(i + 1, rows, count + 1)  # free: rank unchanged

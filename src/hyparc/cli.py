@@ -29,7 +29,7 @@ from . import corollaries, dimension_search, witness
 from .arrangement import Arrangement, ArrangementError, RefusedError, load, profile
 from .exact_linalg import InternalError, primitive_vector
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_FRACTION_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
@@ -74,7 +74,7 @@ def parse_input(text: str) -> tuple[int, list[list[Fraction]]]:
                 raise InputError(f"form {i}, entry {j}: booleans are not coefficients")
             if isinstance(entry, int):
                 coords.append(Fraction(entry))
-            elif isinstance(entry, str) and _FRACTION_RE.match(entry):
+            elif isinstance(entry, str) and _FRACTION_RE.fullmatch(entry):
                 coords.append(Fraction(entry))
             else:
                 raise InputError(
@@ -98,7 +98,7 @@ def build_report(a: Arrangement, with_witness: bool = True) -> dict:
             "s": prof.s,
             "general_position": prof.general_position,
         },
-        "forms": [list(f.coeffs) for f in a.forms],
+        "forms": [list(f) for f in a.forms],
         "d_max": report.d_max,
         "achievable": list(report.achievable),
         "parts_max": report.parts_max,

@@ -98,7 +98,7 @@ def finiteness_verdict(a: Arrangement) -> bool:
     refuse_above_scan_limit(a, "finiteness verdict")
     if a.m != -1:
         return False
-    residuals = {i: f.coeffs for i, f in enumerate(a.forms)}
+    residuals = dict(enumerate(a.forms))
     start = _closed_with(0, residuals, a.r - 1, 0)
     return not _clopen_split((1 << a.r) - 1, *start, 0, residuals)
 

@@ -29,10 +29,12 @@ p <= rank = n - m.  The argument only uses that each block's complement is a
 flat, so a partition of any set U of forms into sets clopen in E has at
 most rank(U) blocks; the search prunes with this bound.
 
-Components.  Let T be a separator, a union of connected components, so the
-matroid is the direct sum of its restrictions to T and E∖T and the closure
-of a set is the union of the closures of its parts in T and in E∖T (no form
-is zero, so there are no loops).
+Components.  Two forms lie in one connected component when a circuit (a
+minimal dependent set) holds both, and joining the fundamental circuits of
+any basis already joins each component.  Let T be a separator, a union of
+connected components, so the matroid is the direct sum of its restrictions
+to T and E∖T and the closure of a set is the union of the closures of its
+parts in T and in E∖T (no form is zero, so there are no loops).
 
 * Splitting a separator off a block keeps every block clopen: if B is
   clopen, B ∩ T and B∖T are flats, and so are their complements
@@ -55,22 +57,26 @@ is zero, so there are no loops).
   per-component lexicographically least maximum partitions combine to the
   global one.
 
-Search, per component.  The components come from the fundamental circuits
-of a greedy basis.  The clopen sets come from a two-sided closure search:
-the lowest undecided form joins one side or the other, that side is closed
-with the integer kernel, and a branch dies when the two closures meet.  The
-maximum partition is then an exact cover by clopen sets, memoised on the set
-of uncovered forms: the lowest uncovered form opens the next block, so its
-candidates are the clopen sets with that least form.  Candidates that cannot
-reach the best count (blocks <= rank of the forms left) are pruned, and
-ties are decided on the RGS, so the cover found is the lexicographically
-least maximum one, the same witness the exhaustive oracle returns.
+Search, per component.  The components come from one fraction-free
+elimination of the rows [v_i | e_i] in form order.  A form whose residual
+keeps a pivot in the left half joins the greedy basis; for any other form
+the right half writes it as a combination of basis forms, and its support
+is the form's fundamental circuit.  The clopen sets come from a two-sided
+closure search: the lowest undecided form joins one side or the other, that
+side is closed with the integer kernel, and a branch dies when the two
+closures meet.  The maximum partition is then an exact cover by clopen
+sets, memoised on the set of uncovered forms: the lowest uncovered form
+opens the next block, so its candidates are the clopen sets with that least
+form.  Candidates that cannot reach the best count (blocks <= rank of the
+forms left) are pruned, and ties are decided on the RGS, so the cover found
+is the lexicographically least maximum one, the same witness the exhaustive
+oracle returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .arrangement import Arrangement, refuse_above_scan_limit
 from .exact_linalg import (
@@ -78,7 +84,6 @@ from .exact_linalg import (
     InternalError,
     Subspace,
     contains,
-    int_echelon,
     int_rank,
     int_residual,
     intersect,
@@ -137,7 +142,6 @@ class SpanCache:
 
     def __init__(self, a: Arrangement):
         self.a = a
-        self.vectors = a.vectors
         self.all_indices = frozenset(range(a.r))
         self._span: dict[frozenset, Subspace] = {}
         self._overlap: dict[frozenset, Subspace] = {}
@@ -145,7 +149,7 @@ class SpanCache:
     def span_of(self, indices: frozenset) -> Subspace:
         cached = self._span.get(indices)
         if cached is None:
-            cached = span([self.vectors[i] for i in sorted(indices)], self.a.n + 1)
+            cached = span([self.a.forms[i] for i in sorted(indices)], self.a.n + 1)
             self._span[indices] = cached
         return cached
 
@@ -194,7 +198,7 @@ def check_partition(
     w_space = span(w_rows, a.n + 1)
     violating = None
     if not w_space.is_zero:
-        for idx, vec in enumerate(cache.vectors):
+        for idx, vec in enumerate(a.forms):
             if contains(w_space, vec):
                 violating = idx
                 break
@@ -208,36 +212,30 @@ def _low(mask: Mask) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _components(coeffs: list[tuple[int, ...]]) -> list[Mask]:
+def _components(forms: Sequence[tuple[int, ...]]) -> list[Mask]:
     """Connected components of the forms' matroid, ordered by least form.
 
-    A non-basis form e of a greedy basis B shares a circuit with the basis
-    forms b for which e is not in span(B minus b); joining along these
-    fundamental circuits gives the components.  Coloops stay alone.
+    One fraction-free elimination of the rows [v_i | e_i] in form order,
+    keeping the rows whose pivot lies in the left half: their forms are a
+    greedy basis.  When the left half of a form's residual vanishes, the
+    right half writes the form as a combination of basis forms, so its
+    support is the form's fundamental circuit.  Joining the circuits gives
+    the components; coloops stay alone.
     """
+    width, r = len(forms[0]), len(forms)
     rows: IntRows = []
-    basis: list[int] = []
-    circuits: dict[int, Mask] = {}
-    for i, v in enumerate(coeffs):
-        res = int_residual(rows, v)
-        pivot = next((j for j, x in enumerate(res) if x), None)
-        if pivot is None:
-            circuits[i] = 1 << i
-        else:
+    comps: list[Mask] = []
+    for i, v in enumerate(forms):
+        res = int_residual(rows, tuple(v) + tuple(int(j == i) for j in range(r)))
+        pivot = next(j for j, x in enumerate(res) if x)
+        if pivot < width:
             rows.append((pivot, res))
-            basis.append(i)
-    for b in basis:
-        rest = int_echelon(coeffs[c] for c in basis if c != b)
-        for e in circuits:
-            if any(int_residual(rest, coeffs[e])):
-                circuits[e] |= 1 << b
-    comps = [1 << b for b in basis]
-    for circuit in circuits.values():
-        joined = circuit
-        for c in comps:
-            if c & circuit:
-                joined |= c
-        comps = [c for c in comps if not c & circuit] + [joined]
+            comps.append(1 << i)
+        else:
+            circuit = sum(1 << j for j, x in enumerate(res[width:]) if x)
+            comps = [c for c in comps if not c & circuit] + [
+                circuit | sum(c for c in comps if c & circuit)  # disjoint: sum is union
+            ]
     return sorted(comps, key=_low)
 
 
@@ -363,11 +361,10 @@ def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     docstring).  Refuses above ``BIPARTITION_SCAN_LIMIT`` forms.
     """
     refuse_above_scan_limit(a, "partition search")
-    coeffs = [f.coeffs for f in a.forms]
     blocks = []
-    for comp in _components(coeffs):
+    for comp in _components(a.forms):
         forms = [i for i in range(a.r) if comp >> i & 1]
-        for block in blocks_of(_max_cover([coeffs[i] for i in forms])):
+        for block in blocks_of(_max_cover([a.forms[i] for i in forms])):
             blocks.append(tuple(forms[i] for i in block))
     if len(blocks) < 2:
         return None, None

@@ -18,18 +18,21 @@ loci) is realized deterministically by walking the integer moment curve
 (1, t, t^2, ...) for t = 0, 1, 2, ...; each constraint excludes only
 finitely many t, so the walk terminates and the output is reproducible.
 
-Arithmetic.  The chain lives on the integer kernel of ``exact_linalg``:
-each U_i is a list of integer echelon rows, U_0 = W comes from one
-Zassenhaus intersection per block but the last, and the invariants are
-checked with integer residuals, ranks and block intersections.  Step i
-extends the block intersection U_{i-1} ∩ B_i that the check of U_{i-1}
-(for U_0, the sum giving W) already computed.  The zero set of U_p, the
-restrictions' dot products and the rank of their classes are integer too.
-Canonical ``Fraction`` RREF is computed only where a result depends on the
-basis and not just on the space: the moment-curve walk in
-``generic_avoiding_extension`` reads the bases of U_{i-1} ∩ B_i and B_i,
-and the report prints the basis of Y.  Both are canonical, so every U_i is
-the same space, and the witness the same bytes, however U_i is stored.
+Arithmetic.  The forms are the arrangement's primitive integer rows, and
+the chain lives on the integer kernel of ``exact_linalg``: each U_i is a
+list of integer echelon rows, U_0 = W comes from one Zassenhaus
+intersection per block but the last, and the invariants are checked with
+integer residuals, ranks and block intersections.  Step i extends the
+block intersection U_{i-1} ∩ B_i that the check of U_{i-1} (for U_0, the
+sum giving W) already computed.  The zero set of U_p, the restrictions'
+dot products and the rank of their classes are integer too.  Canonical
+``Fraction`` RREF is computed only where a result depends on the basis and
+not just on the space: the moment-curve walk in
+``generic_avoiding_extension`` reads the bases of U_{i-1} ∩ B_i and B_i
+(the forms it avoids stay integer rows, and the kernel of the functional
+it picks is written down, not eliminated), and the report prints the basis
+of Y.  Both are canonical, so every U_i is the same space, and the witness
+the same bytes, however U_i is stored.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .exact_linalg import (
     int_nullspace,
     int_rank,
     int_residual,
-    nullspace,
     primitive_vector,
     reduce_against,
     span,
@@ -167,7 +169,7 @@ def _cond_check(restrictions: Sequence[Vector]) -> CondCheck:
 def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
     """Normalize a point parametrization and attach its verification record."""
     points = span([vector(row) for row in point_rows], a.n + 1)
-    restrictions = tuple(_restrictions(points.basis, [f.coeffs for f in a.forms]))
+    restrictions = tuple(_restrictions(points.basis, a.forms))
     return WitnessSubspace(
         point_basis=points.basis,
         dim=points.rank - 1,
@@ -178,20 +180,22 @@ def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubsp
 
 def verify_cond(a: Arrangement, y: WitnessSubspace) -> CondCheck:
     """Re-run the witness verification from the point basis alone."""
-    return _cond_check(_restrictions(y.point_basis, [f.coeffs for f in a.forms]))
+    return _cond_check(_restrictions(y.point_basis, a.forms))
 
 
 def generic_avoiding_extension(
-    container: Subspace, inside: Subspace, avoid: Sequence[Vector]
+    container: Subspace, inside: Subspace, avoid: Sequence[Sequence]
 ) -> Subspace:
     """A hyperplane of ``container`` containing ``inside``, missing ``avoid``.
 
     Works in the quotient container/inside: completes the inside basis to a
     basis of the container, expresses each avoid vector there, and picks the
-    first moment-curve functional nonzero on every avoid image.  The returned
-    hyperplane is the inside plus that functional's kernel.  An avoid vector
-    lies in the container iff it has coordinates in that basis, and in the
-    inside iff its coordinates past the inside basis vanish.
+    first moment-curve functional phi = (1, t, t^2, ...) nonzero on every
+    avoid image.  The returned hyperplane is the inside plus the kernel of
+    phi; as phi_0 = 1, that kernel is spanned by e_f - t^f e_0 for f >= 1.
+    An avoid vector lies in the container iff it has coordinates in that
+    basis, and in the inside iff its coordinates past the inside basis
+    vanish.
     """
     if inside.rank >= container.rank:
         raise ValueError("inside must be a proper subspace of container")
@@ -220,13 +224,8 @@ def generic_avoiding_extension(
             break
     else:
         raise InternalError("no generic functional found; this cannot happen")
-    kernel = nullspace([phi], quot)
-    width = container.ambient_dim
-    v_rows = list(inside.basis) + [
-        tuple(sum(kv[l] * ext[l][c] for l in range(quot)) for c in range(width))
-        for kv in kernel.basis
-    ]
-    return span(v_rows, width)
+    kernel = [tuple(x - t**f * y for x, y in zip(ext[f], ext[0])) for f in range(1, quot)]
+    return span(list(inside.basis) + kernel, container.ambient_dim)
 
 
 def _check_chain_step(
@@ -292,7 +291,7 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     construction provably succeeds on valid partitions.
     """
     validate_partition(a, partition)
-    coeffs = [f.coeffs for f in a.forms]
+    coeffs = a.forms
     width = a.n + 1
     meets = block_overlaps(coeffs, partition)
     u = int_echelon(row for meet in meets for row in _plain(meet))
@@ -303,7 +302,7 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     chain = [u]
     for i, block in enumerate(partition, start=1):
         # The walk reads canonical bases, so U_i depends on the spaces alone.
-        avoid = [a.vectors[idx] for idx in block]
+        avoid = [coeffs[idx] for idx in block]
         container = span(_plain(block_rows[i - 1]), width)
         inside = span(_plain(meets[i - 1]), width)
         hyperplane = generic_avoiding_extension(container, inside, avoid)
@@ -347,12 +346,11 @@ def build_witness_for_mplus1(a: Arrangement) -> WitnessSubspace:
     so all restrictions collapse to a single projective class.
     """
     m = a.m
-    coeffs = [f.coeffs for f in a.forms]
-    point = _generic_point(coeffs, a.n + 1)
+    point = _generic_point(a.forms, a.n + 1)
     if m == -1:
         rows = [point]
     else:
-        rows = _plain(int_nullspace(coeffs, a.n + 1)) + [point]
+        rows = _plain(int_nullspace(a.forms, a.n + 1)) + [point]
     w = make_witness(a, rows)
     _assert(w.dim == m + 1, f"baseline witness has dimension {w.dim}, expected {m + 1}")
     _assert(w.verification.ok, f"baseline witness failed: {w.verification.diagnostics}")

@@ -29,16 +29,15 @@ from .corpus import (
 
 def subset_general_position(a: Arrangement) -> bool:
     """Oracle: rank every subset of min(r, n+1) forms."""
-    coeffs = [f.coeffs for f in a.forms]
     k = min(a.r, a.n + 1)
-    return all(int_rank(combo) == k for combo in combinations(coeffs, k))
+    return all(int_rank(combo) == k for combo in combinations(a.forms, k))
 
 
 class TestLoad:
     def test_proportional_dedupe(self):
         a = load(2, [[1, 0, 0], [2, 0, 0], [0, 1, 0]])
         assert a.r == 2
-        assert {f.coeffs for f in a.forms} == {(1, 0, 0), (0, 1, 0)}
+        assert set(a.forms) == {(1, 0, 0), (0, 1, 0)}
         assert len(a.warnings) == 1
 
     def test_zero_form_rejected(self):
@@ -47,7 +46,7 @@ class TestLoad:
 
     def test_fraction_canonicalization(self):
         a = load(2, [["1/2", 0, 0]])
-        assert a.forms[0].coeffs == (1, 0, 0)
+        assert a.forms[0] == (1, 0, 0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ArrangementError, match="empty"):
@@ -95,7 +94,7 @@ class TestComputeS:
     def test_five_general_position_lines(self):
         a = moment_curve_arrangement(2, 5)
         # Every 3-subset has rank 3 (Vandermonde), so no 3 lines meet.
-        for combo in combinations(a.vectors, 3):
+        for combo in combinations(a.forms, 3):
             assert span(combo, 3).rank == 3
         assert compute_s(a) == 2
 
@@ -107,7 +106,7 @@ class TestComputeS:
         rng = random.Random(7)
         for _ in range(30):
             a = random_arrangement(rng, rng.randint(1, 3), rng.randint(1, 6))
-            vecs = a.vectors
+            vecs = a.forms
             oracle = max(
                 len(combo)
                 for k in range(1, a.r + 1)
@@ -136,11 +135,11 @@ class TestGeneralPosition:
             a = random_arrangement(rng, rng.randint(1, 3), rng.randint(1, 6))
             gp = is_general_position(a)
             if a.r <= a.n + 1:
-                expected = span(a.vectors, a.n + 1).rank == a.r
+                expected = span(a.forms, a.n + 1).rank == a.r
             else:
                 expected = compute_s(a) == a.n and all(
                     span(combo, a.n + 1).rank == a.n + 1
-                    for combo in combinations(a.vectors, a.n + 1)
+                    for combo in combinations(a.forms, a.n + 1)
                 )
             assert gp == expected
 

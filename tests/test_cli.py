@@ -145,6 +145,13 @@ class TestAnalyze:
         out = json.loads(proc.stdout, parse_int=str)
         assert out["forms"] == [["0", "1"], ["1", "9" * 5000]]
 
+    @pytest.mark.parametrize("entry", ["1\n", "2/3\n"], ids=["integer", "fraction"])
+    def test_trailing_newline_in_a_coefficient_is_an_input_error(self, runner, entry):
+        doc = json.dumps({"n": 1, "forms": [[entry, 1], [0, 1]]})
+        result = runner.invoke(cli.main, ["analyze", "-"], input=doc)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("input error: ")
+
     def test_input_error_exit_code(self, runner):
         result = runner.invoke(
             cli.main, ["analyze", "-"], input='{"n": 2, "forms": [[0, 0, 0]]}'

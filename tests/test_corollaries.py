@@ -26,7 +26,7 @@ from .corpus import (
 
 def zassenhaus_finiteness(a: Arrangement) -> bool:
     """Oracle: the finiteness scan by Fraction spans and Zassenhaus intersections."""
-    vecs = a.vectors
+    vecs = a.forms
     if span(vecs, a.n + 1).rank != a.n + 1:
         return False
     r = a.r
@@ -65,8 +65,8 @@ class TestFinitenessVerdict:
         # Each summand is finite, so its forms admit no clopen split; the
         # forms of one summand are a clopen set of the sum.
         part = moment_curve_arrangement(2, 5)
-        rows = [f.coeffs + (0,) * 3 for f in part.forms]
-        rows += [(0,) * 3 + f.coeffs for f in part.forms]
+        rows = [f + (0,) * 3 for f in part.forms]
+        rows += [(0,) * 3 + f for f in part.forms]
         a = load(5, rows)
         assert finiteness_verdict(part)
         assert a.m == -1

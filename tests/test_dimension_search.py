@@ -5,11 +5,13 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyparc import cli
 from hyparc.arrangement import BIPARTITION_SCAN_LIMIT, RefusedError, load
 from hyparc.dimension_search import (
     SpanCache,
+    _components,
     achievable_dimensions,
     blocks_of,
     brute_force_max_parts,
@@ -17,7 +19,7 @@ from hyparc.dimension_search import (
     max_valid_parts,
     partitions_rgs,
 )
-from hyparc.exact_linalg import is_flat, span, zero_space
+from hyparc.exact_linalg import int_rank, is_flat, span, zero_space
 
 from .corpus import (
     arrangements,
@@ -153,7 +155,7 @@ class TestBruteForce:
 @given(arrangements())
 def test_flat_bipartitions_match_check_partition(a):
     """Both sides flats <=> the Zassenhaus criterion, on every bipartition."""
-    coeffs = [f.coeffs for f in a.forms]
+    coeffs = a.forms
     for mask in range(2 ** (a.r - 1) - 1):
         side = (0,) + tuple(i for i in range(1, a.r) if mask >> (i - 1) & 1)
         comp = tuple(i for i in range(a.r) if i not in side)
@@ -170,7 +172,7 @@ def _clopen(coeffs, block):
 @given(arrangements())
 def test_clopen_blocks_match_check_partition(a):
     """Every block clopen <=> the Zassenhaus criterion, on every partition."""
-    coeffs = [f.coeffs for f in a.forms]
+    coeffs = a.forms
     cache = SpanCache(a)
     for rgs in partitions_rgs(a.r):
         blocks = blocks_of(rgs)
@@ -189,8 +191,8 @@ def test_search_matches_brute_force_on_sparse_forms(a):
 def _direct_sum(a, b):
     """The forms of ``a`` and of ``b`` on disjoint coordinates."""
     pad_a, pad_b = [0] * (b.n + 1), [0] * (a.n + 1)
-    rows = [list(f.coeffs) + pad_a for f in a.forms]
-    rows += [pad_b + list(f.coeffs) for f in b.forms]
+    rows = [list(f) + pad_a for f in a.forms]
+    rows += [pad_b + list(f) for f in b.forms]
     return load(a.n + b.n + 1, rows)
 
 
@@ -202,6 +204,45 @@ def test_direct_sum_adds_parts(a, b):
     parts, witness = max_valid_parts(s)
     assert parts == (max_valid_parts(a)[0] or 1) + (max_valid_parts(b)[0] or 1)
     assert check_partition(s, witness).valid
+
+
+def _circuit_components(forms):
+    """Oracle: components joined from every circuit, found by rank."""
+    r = len(forms)
+    circuits = []
+    for mask in range(1, 1 << r):
+        subset = [forms[i] for i in range(r) if mask >> i & 1]
+        k = len(subset)
+        if int_rank(subset) == k - 1 and all(
+            int_rank(subset[:j] + subset[j + 1:]) == k - 1 for j in range(k)
+        ):
+            circuits.append(mask)
+    comps = []
+    for i in range(r):
+        if any(c >> i & 1 for c in comps):
+            continue
+        comp, grown = 0, 1 << i
+        while grown != comp:
+            comp = grown
+            for c in circuits:
+                if c & comp:
+                    grown |= c
+        comps.append(comp)
+    return comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    sparse_arrangements(max_r=8),
+    st.builds(_direct_sum, arrangements(max_r=4), arrangements(max_r=4)),
+))
+def test_components_match_circuit_oracle(a):
+    comps = _components(a.forms)
+    assert comps == _circuit_components(a.forms)
+    rank = int_rank(a.forms)
+    for i in range(a.r):
+        if int_rank(a.forms[:i] + a.forms[i + 1:]) < rank:  # a coloop
+            assert 1 << i in comps
 
 
 class TestFormerHardCases:

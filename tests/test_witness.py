@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyparc.arrangement import compute_m, load
@@ -19,6 +19,7 @@ from hyparc.exact_linalg import (
     int_echelon,
     intersect,
     is_flat,
+    primitive_vector,
     span,
     vector,
     zero_space,
@@ -86,13 +87,48 @@ class TestGenericAvoidingExtension:
             generic_avoiding_extension(u, u, [])
 
 
+@st.composite
+def extension_inputs(draw):
+    """A container, a proper subspace inside it, and integer vectors of the
+    container outside that subspace."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    entries = st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width)
+    container = span(draw(st.lists(entries, min_size=1, max_size=width)), width)
+    assume(not container.is_zero)
+    k = container.rank
+    weights = st.lists(st.integers(min_value=-3, max_value=3), min_size=k, max_size=k)
+
+    def combine(w):
+        return [sum(c * b[i] for c, b in zip(w, container.basis)) for i in range(width)]
+
+    inside = span([combine(w) for w in draw(st.lists(weights, max_size=k - 1))], width)
+    avoid = [
+        primitive_vector(v)
+        for v in (combine(w) for w in draw(st.lists(weights, min_size=1, max_size=6)))
+        if not contains(inside, v)
+    ]
+    assume(avoid)
+    return container, inside, avoid
+
+
+@settings(max_examples=200, deadline=None)
+@given(extension_inputs())
+def test_generic_avoiding_extension_on_random_inputs(case):
+    container, inside, avoid = case
+    v = generic_avoiding_extension(container, inside, avoid)
+    assert all(contains(v, b) for b in inside.basis)
+    assert all(contains(container, b) for b in v.basis)
+    assert v.rank == container.rank - 1
+    assert not any(contains(v, x) for x in avoid)
+
+
 def chain_spaces(chain):
     """The chain as canonical ``Fraction`` subspaces."""
     return [span([row for _, row in u], chain.arrangement.n + 1) for u in chain.rows]
 
 
 def assert_chain_invariants(a, chain):
-    vecs = a.vectors
+    vecs = a.forms
     spans = [span([vecs[i] for i in b], a.n + 1) for b in chain.partition]
     spaces = chain_spaces(chain)
     for i, u in enumerate(spaces):
@@ -154,7 +190,7 @@ def partitions_of(a):
 def test_separation_space_matches_check_partition(a):
     # The valid partitions come from the block rule (every block clopen),
     # not from the integer W under test.
-    coeffs = [f.coeffs for f in a.forms]
+    coeffs = a.forms
     for blocks in partitions_of(a):
         if all(is_flat(coeffs, b) and is_flat(coeffs, set(range(a.r)) - set(b)) for b in blocks):
             chk = check_partition(a, blocks)
@@ -167,7 +203,7 @@ def test_separation_space_matches_check_partition(a):
 def test_every_partition_matches_check_partition(a):
     # W and its block meets on every partition, and the form an invalid one
     # is rejected for.
-    coeffs = [f.coeffs for f in a.forms]
+    coeffs = a.forms
     for blocks in partitions_of(a):
         chk = check_partition(a, blocks)
         assert separation_space(coeffs, blocks, a.n + 1) == chk.w_space
@@ -190,7 +226,7 @@ class TestChainStepCheck:
 
     def check_step_two(self, extra=None):
         """Check U_2 = U_1 + extra, or U_2 = 0 without extra; the real U_2 passes."""
-        coeffs = [f.coeffs for f in self.A.forms]
+        coeffs = self.A.forms
         chain = build_u_chain(self.A, self.PARTITION)
         block_rows = [int_echelon(coeffs[i] for i in b) for b in self.PARTITION]
         u_1 = chain.rows[1]
@@ -231,9 +267,7 @@ class TestWitnessSubspace:
         chain = build_u_chain(a, ((0,), (1,), (2,), (3,)))
         w = witness_subspace(chain)
         assert w.dim == 3
-        assert [cls for cls, _ in w.verification.classes] == [
-            f.coeffs for f in a.forms
-        ]
+        assert [cls for cls, _ in w.verification.classes] == list(a.forms)
 
 
 class TestVerifyCond:
@@ -276,7 +310,7 @@ class TestBaselineWitness:
         w = build_witness_for_mplus1(a)
         assert w.dim == 2
         assert len(w.verification.classes) == 1
-        core = zero_set(span(a.vectors, 4))
+        core = zero_set(span(a.forms, 4))
         y = span(w.point_basis, 4)
         assert all(contains(y, b) for b in core.basis)
 
@@ -293,7 +327,7 @@ class TestShrinkWitness:
         point_w = shrink_witness(FOUR_LINES, w, 0)
         assert point_w.dim == 0
         point = point_w.point_basis[0]
-        for f in FOUR_LINES.vectors:
+        for f in FOUR_LINES.forms:
             assert sum(a * b for a, b in zip(f, point)) != 0
 
     def test_full_space_to_line(self):
