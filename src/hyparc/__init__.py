@@ -11,29 +11,21 @@ from .arrangement import Arrangement, ArrangementProfile, RefusedError, load, pr
 from .corollaries import Verdict, cross_check, finiteness_verdict, general_position_bound
 from .dimension_search import (
     DimensionReport,
-    PartitionCheck,
     achievable_dimensions,
     brute_force_max_parts,
-    check_partition,
     max_valid_parts,
 )
 from .exact_linalg import (
     DimensionMismatchError,
     InternalError,
     Subspace,
-    contains,
-    intersect,
     span,
-    sum_spaces,
-    zero_set,
 )
 from .witness import (
     UChain,
     WitnessSubspace,
     build_u_chain,
     build_witness_for_mplus1,
-    shrink_witness,
-    verify_cond,
     witness_subspace,
 )
 
@@ -48,24 +40,16 @@ __all__ = [
     "finiteness_verdict",
     "general_position_bound",
     "DimensionReport",
-    "PartitionCheck",
     "achievable_dimensions",
     "brute_force_max_parts",
-    "check_partition",
     "max_valid_parts",
     "DimensionMismatchError",
     "InternalError",
     "Subspace",
-    "contains",
-    "intersect",
     "span",
-    "sum_spaces",
-    "zero_set",
     "UChain",
     "WitnessSubspace",
     "build_u_chain",
     "build_witness_for_mplus1",
-    "shrink_witness",
-    "verify_cond",
     "witness_subspace",
 ]

@@ -29,7 +29,7 @@ from . import corollaries, dimension_search, witness
 from .arrangement import Arrangement, ArrangementError, RefusedError, load, profile
 from .exact_linalg import InternalError, primitive_vector
 
-_FRACTION_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+_FRACTION_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
 
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2

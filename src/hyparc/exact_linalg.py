@@ -14,8 +14,8 @@ Two representations, both exact; no floating point is used anywhere.
   are equal iff their basis tuples are equal.
 
 Covector spaces (linear forms) and point spaces share this machinery; the
-semantic split is maintained by the callers (see ``zero_set``, which maps a
-space of forms to the point space they annihilate).
+semantic split is maintained by the callers (``nullspace`` and
+``int_nullspace`` map forms to the point space they annihilate).
 """
 
 from __future__ import annotations
@@ -154,19 +154,6 @@ def int_nullspace(rows: Sequence[Sequence[int]], width: int) -> IntRows:
     return [(p - k, row[k:]) for p, row in int_echelon(augmented) if p >= k]
 
 
-def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
-    """True when no vector outside ``side`` lies in the span of those inside.
-
-    ``side`` holds indices into ``vectors``; such a set is a flat of the
-    vectors' matroid.
-    """
-    inside = set(side)
-    rows = int_echelon(vectors[i] for i in inside)
-    return all(
-        any(int_residual(rows, v)) for i, v in enumerate(vectors) if i not in inside
-    )
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace in canonical (reduced row-echelon) basis form."""
@@ -211,30 +198,11 @@ def span(vectors: Iterable[Sequence[Fraction]], ambient_dim: Optional[int] = Non
     return Subspace(ambient_dim, tuple(tuple(r) for r in reduced))
 
 
-def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, ())
-
-
-def full_space(ambient_dim: int) -> Subspace:
-    rows = []
-    for i in range(ambient_dim):
-        row = [_ZERO] * ambient_dim
-        row[i] = _ONE
-        rows.append(tuple(row))
-    return Subspace(ambient_dim, tuple(rows))
-
-
 def _check_same_ambient(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
         )
-
-
-def sum_spaces(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical span of the union of the two bases."""
-    _check_same_ambient(u, v)
-    return span(list(u.basis) + list(v.basis), u.ambient_dim)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -300,16 +268,6 @@ def nullspace(rows: Iterable[Sequence[Fraction]], width: int) -> Subspace:
             vec[p] = -row[f]
         basis.append(vec)
     return span(basis, width)
-
-
-def zero_set(forms: Subspace) -> Subspace:
-    """Point space annihilated by a space of linear forms.
-
-    The rank is the ambient dimension minus the rank of the forms; the
-    projective dimension of the zero set is that minus one (with the empty
-    set assigned dimension -1).
-    """
-    return nullspace(forms.basis, forms.ambient_dim)
 
 
 def solve_coordinates(rows: Sequence[Vector], target: Sequence[Fraction]) -> Optional[list[Fraction]]:

@@ -59,7 +59,6 @@ from .exact_linalg import (
     reduce_against,
     span,
     vector,
-    zero_set,
 )
 
 _GENERIC_SEARCH_CAP = 10_000  # far beyond any reachable bad-value count
@@ -176,11 +175,6 @@ def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubsp
         restrictions=restrictions,
         verification=_cond_check(restrictions),
     )
-
-
-def verify_cond(a: Arrangement, y: WitnessSubspace) -> CondCheck:
-    """Re-run the witness verification from the point basis alone."""
-    return _cond_check(_restrictions(y.point_basis, a.forms))
 
 
 def generic_avoiding_extension(
@@ -355,66 +349,3 @@ def build_witness_for_mplus1(a: Arrangement) -> WitnessSubspace:
     _assert(w.dim == m + 1, f"baseline witness has dimension {w.dim}, expected {m + 1}")
     _assert(w.verification.ok, f"baseline witness failed: {w.verification.diagnostics}")
     return w
-
-
-def shrink_witness(a: Arrangement, y: WitnessSubspace, d_target: int) -> WitnessSubspace:
-    """A verified witness of any dimension below an existing one.
-
-    Working in the parameter space of Y: intersect enough restricted
-    hyperplane classes (or all of them, when there are too few) to cut the
-    dimension down, then extend by a generic parameter point off every
-    restricted hyperplane.
-    """
-    if not 0 <= d_target <= y.dim:
-        raise ValueError(f"target dimension {d_target} outside [0, {y.dim}]")
-    check = verify_cond(a, y)
-    if not check.ok:
-        raise ValueError("witness to shrink does not verify")
-    if d_target == y.dim:
-        return y
-    cut = y.dim + 1 - d_target
-    class_covs = [vector(cls) for cls, _ in check.classes]
-    param_dim = y.dim + 1
-    if d_target == 0:
-        core_rows: list[Vector] = []
-    elif len(class_covs) >= cut:
-        core_rows = list(zero_set(span(class_covs[:cut], param_dim)).basis)
-    else:
-        flat = zero_set(span(class_covs, param_dim))
-        core_rows = list(flat.basis[:d_target])
-    point = _generic_point(class_covs, param_dim)
-    param_rows = core_rows + [point]
-    ambient_rows = [
-        tuple(
-            sum(prow[i] * y.point_basis[i][c] for i in range(param_dim))
-            for c in range(a.n + 1)
-        )
-        for prow in param_rows
-    ]
-    w = make_witness(a, ambient_rows)
-    _assert(w.dim == d_target, f"shrunk witness has dimension {w.dim}, expected {d_target}")
-    _assert(w.verification.ok, f"shrunk witness failed: {w.verification.diagnostics}")
-    return w
-
-
-def induced_partition(a: Arrangement, y: WitnessSubspace) -> Optional[Blocks]:
-    """Partition of the form indices recovered from a verified witness.
-
-    Groups forms by their restriction class on Y, then merges leading groups
-    until exactly d - m blocks remain (the common intersection of the
-    restricted hyperplanes may be larger than the global one, in which case
-    the grouping starts with more blocks than the target).  Returns None when
-    d - m < 2, where the criterion does not apply.
-    """
-    check = verify_cond(a, y)
-    if not check.ok:
-        raise ValueError("witness does not verify")
-    target = y.dim - a.m
-    if target < 2:
-        return None
-    groups = [list(idxs) for _, idxs in check.classes]
-    _assert(len(groups) >= target, "fewer restriction classes than target blocks")
-    merge_count = len(groups) - target + 1
-    merged = sorted(i for g in groups[:merge_count] for i in g)
-    blocks = [tuple(merged)] + [tuple(g) for g in groups[merge_count:]]
-    return tuple(sorted(blocks, key=min))

@@ -145,8 +145,12 @@ class TestAnalyze:
         out = json.loads(proc.stdout, parse_int=str)
         assert out["forms"] == [["0", "1"], ["1", "9" * 5000]]
 
-    @pytest.mark.parametrize("entry", ["1\n", "2/3\n"], ids=["integer", "fraction"])
-    def test_trailing_newline_in_a_coefficient_is_an_input_error(self, runner, entry):
+    @pytest.mark.parametrize(
+        "entry",
+        ["1\n", "2/3\n", "\u0661", "\u0661/\u0663"],
+        ids=["newline_integer", "newline_fraction", "arabic_indic_integer", "arabic_indic_fraction"],
+    )
+    def test_trailing_newline_or_non_ascii_digit_is_an_input_error(self, runner, entry):
         doc = json.dumps({"n": 1, "forms": [[entry, 1], [0, 1]]})
         result = runner.invoke(cli.main, ["analyze", "-"], input=doc)
         assert result.exit_code == 1

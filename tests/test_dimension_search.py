@@ -19,7 +19,7 @@ from hyparc.dimension_search import (
     max_valid_parts,
     partitions_rgs,
 )
-from hyparc.exact_linalg import int_rank, is_flat, span, zero_space
+from hyparc.exact_linalg import int_rank, span
 
 from .corpus import (
     arrangements,
@@ -27,6 +27,7 @@ from .corpus import (
     random_arrangement,
     sparse_arrangements,
 )
+from .oracles import is_flat
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 # canonical order: 0:(0,0,1)  1:(0,1,0)  2:(1,0,0)  3:(1,1,1)
@@ -71,7 +72,7 @@ class TestCheckPartition:
         a = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         chk = check_partition(a, ((0,), (1,), (2,)))
         assert chk.valid
-        assert chk.w_space == zero_space(3)
+        assert chk.w_space == span([], 3)
 
     @pytest.mark.parametrize(
         "blocks",

@@ -18,12 +18,10 @@ from hyparc.exact_linalg import (
     contains,
     int_echelon,
     intersect,
-    is_flat,
+    nullspace,
     primitive_vector,
     span,
     vector,
-    zero_space,
-    zero_set,
 )
 from hyparc.witness import (
     _check_chain_step,
@@ -31,10 +29,7 @@ from hyparc.witness import (
     build_u_chain,
     build_witness_for_mplus1,
     generic_avoiding_extension,
-    induced_partition,
     make_witness,
-    shrink_witness,
-    verify_cond,
     witness_subspace,
 )
 
@@ -44,6 +39,7 @@ from .corpus import (
     random_arrangement,
     sparse_arrangements,
 )
+from .oracles import induced_partition, is_flat, shrink_witness
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 VALID_BIPARTITION = ((0, 3), (1, 2))  # {x2, x0+x1+x2} vs {x1, x0}
@@ -53,20 +49,20 @@ class TestGenericAvoidingExtension:
     def test_avoids_both_generators(self):
         container = span([(1, 0, 0), (0, 1, 0)])
         v = generic_avoiding_extension(
-            container, zero_space(3), [vector((1, 0, 0)), vector((0, 1, 0))]
+            container, span([], 3), [vector((1, 0, 0)), vector((0, 1, 0))]
         )
         assert v.rank == 1
         assert not contains(v, (1, 0, 0))
         assert not contains(v, (0, 1, 0))
         # Deterministic: same call, same hyperplane.
         again = generic_avoiding_extension(
-            container, zero_space(3), [vector((1, 0, 0)), vector((0, 1, 0))]
+            container, span([], 3), [vector((1, 0, 0)), vector((0, 1, 0))]
         )
         assert again == v
 
     def test_line_container_gives_zero_space(self):
-        v = generic_avoiding_extension(span([(1, 2, 3)]), zero_space(3), [vector((1, 2, 3))])
-        assert v == zero_space(3)
+        v = generic_avoiding_extension(span([(1, 2, 3)]), span([], 3), [vector((1, 2, 3))])
+        assert v == span([], 3)
 
     def test_empty_avoid_list(self):
         container = span([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -149,7 +145,7 @@ class TestUChain:
     def test_independent_forms_singletons(self):
         a = load(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         chain = build_u_chain(a, ((0,), (1,), (2,), (3,)))
-        assert all(u == zero_space(4) for u in chain_spaces(chain))
+        assert all(u == span([], 4) for u in chain_spaces(chain))
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
@@ -260,7 +256,7 @@ class TestWitnessSubspace:
         assert len(w.verification.classes) == 2
         assert w.verification.ok
         # Y = Z(span{x0+x1}).
-        assert span(w.point_basis, 3) == zero_set(span([(1, 1, 0)]))
+        assert span(w.point_basis, 3) == nullspace(span([(1, 1, 0)]).basis, 3)
 
     def test_independent_forms_full_space(self):
         a = load(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -274,12 +270,12 @@ class TestVerifyCond:
     def test_full_space_with_independent_forms(self):
         a = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         w = make_witness(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert verify_cond(a, w).ok
+        assert w.verification.ok
 
     def test_contained_in_hyperplane(self):
         a = load(2, [[1, 0, 0], [0, 1, 0]])
         w = make_witness(a, [(0, 1, 0), (0, 0, 1)])  # Y = {x0 = 0}
-        check = verify_cond(a, w)
+        check = w.verification
         assert not check.ok
         assert "contained in arrangement" in check.diagnostics
 
@@ -287,7 +283,7 @@ class TestVerifyCond:
         # Restricting three concurrent lines to P^2 keeps them dependent.
         a = load(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         w = make_witness(a, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        check = verify_cond(a, w)
+        check = w.verification
         assert not check.ok and check.not_contained and not check.independent
 
 
@@ -310,7 +306,7 @@ class TestBaselineWitness:
         w = build_witness_for_mplus1(a)
         assert w.dim == 2
         assert len(w.verification.classes) == 1
-        core = zero_set(span(a.forms, 4))
+        core = nullspace(span(a.forms, 4).basis, 4)
         y = span(w.point_basis, 4)
         assert all(contains(y, b) for b in core.basis)
 
