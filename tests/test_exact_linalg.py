@@ -57,7 +57,7 @@ class TestSpan:
 
     def test_empty_span_is_zero_space(self):
         s = span([], ambient_dim=3)
-        assert s == span([], 3)
+        assert s == Subspace(3, ())
         assert s.rank == 0
 
     def test_proportional_rows_collapse(self):
@@ -77,8 +77,10 @@ class TestSumIntersect:
         assert s.rank == 2
 
     def test_sum_with_zero_is_identity(self):
+        # The zero space adds no rows, and a zero row in the stack is dropped.
         u = span([(1, 2, 3), (0, 1, 1)])
-        assert span(u.basis + span([], 3).basis, 3) == u
+        assert span(u.basis, 3) == u
+        assert span(u.basis + (vector((0, 0, 0)),), 3) == u
 
     def test_sum_rank_three(self):
         # Rank of the stacked 4x3 matrix by row reduction.
