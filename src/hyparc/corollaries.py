@@ -59,21 +59,26 @@ def _closed_with(side: int, outside: dict, u: int, other: int):
     return side, still_outside
 
 
-def _clopen_split(full: int, a_side: int, a_out: dict, b_side: int, b_out: dict) -> bool:
+def _clopen_split(
+    full: int, cap: int, a_side: int, a_out: dict, b_side: int, b_out: dict
+) -> bool:
     """True iff the flats A and B grow into a split of ``full`` with B nonempty.
 
     The highest undecided form joins A or B, and that side is closed again;
-    a branch dies when the closure reaches the other side.
+    a branch dies when the closure reaches the other side, or when a side
+    holds more than ``cap`` forms.
     """
+    if a_side.bit_count() > cap or b_side.bit_count() > cap:
+        return False
     undecided = full & ~(a_side | b_side)
     if not undecided:
         return b_side != 0
     u = undecided.bit_length() - 1
     grown = _closed_with(a_side, a_out, u, b_side)
-    if grown is not None and _clopen_split(full, *grown, b_side, b_out):
+    if grown is not None and _clopen_split(full, cap, *grown, b_side, b_out):
         return True
     grown = _closed_with(b_side, b_out, u, a_side)
-    return grown is not None and _clopen_split(full, a_side, a_out, *grown)
+    return grown is not None and _clopen_split(full, cap, a_side, a_out, *grown)
 
 
 def finiteness_verdict(a: Arrangement) -> bool:
@@ -94,13 +99,22 @@ def finiteness_verdict(a: Arrangement) -> bool:
       inside S and B inside E∖S, because the closure of a subset of a flat
       stays inside that flat.  So it never dies and ends at the leaf
       (S, E∖S), where B is nonempty.
+    * The s rule: with m = -1 the forms have rank n + 1, so a flat other
+      than E has rank at most n and, by the definition of s, at most s
+      forms.  Both sides of a clopen split are such flats, so r > 2s rules
+      every split out at once, and a branch with more than s forms on one
+      side, which lies inside a side of any split it leads to, can die.
+      The partition search does not read s, so the exit-3 cross-check
+      still compares two computations that do not share it.
     """
     refuse_above_scan_limit(a, "finiteness verdict")
     if a.m != -1:
         return False
+    if a.r > 2 * a.s:
+        return True
     residuals = dict(enumerate(a.forms))
     start = _closed_with(0, residuals, a.r - 1, 0)
-    return not _clopen_split((1 << a.r) - 1, *start, 0, residuals)
+    return not _clopen_split((1 << a.r) - 1, a.s, *start, 0, residuals)
 
 
 def general_position_bound(a: Arrangement) -> Optional[int]:

@@ -67,15 +67,22 @@ side is closed with the integer kernel, and a branch dies when the two
 closures meet.  The maximum partition is then an exact cover by clopen
 sets, memoised on the set of uncovered forms: the lowest uncovered form
 opens the next block, so its candidates are the clopen sets with that least
-form.  Candidates that cannot reach the best count (blocks <= rank of the
-forms left) are pruned, and ties are decided on the RGS, so the cover found
-is the lexicographically least maximum one, the same witness the exhaustive
-oracle returns.
+form.  Candidates that cannot reach the best count are pruned by two upper
+bounds on the blocks of a cover of the forms left: the sum of 1/size(i),
+where size(i) is the size of the smallest clopen set holding form i, and,
+only where that bound does not prune, their rank (``_max_cover`` proves the
+first).  In general position with n + 1 < r <= 2n a flat other than E has
+at most n forms, so the clopen sets other than E are the sets of r - n to n
+forms, the first bound is r / (r - n), and its floor is already the largest
+number of blocks.  Ties are decided on the RGS, so the cover found is the
+lexicographically least maximum one, the same witness the exhaustive oracle
+returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .arrangement import Arrangement, refuse_above_scan_limit
@@ -239,28 +246,34 @@ def _components(forms: Sequence[tuple[int, ...]]) -> list[Mask]:
     return sorted(comps, key=_low)
 
 
-def _close(side: Mask, outside: dict[int, tuple[int, ...]], u: int, other: Mask):
+def _close(side: Mask, outside: dict[int, Sequence[int]], u: int, other: Mask):
     """Closure of ``side`` plus form ``u``; None when it meets ``other``.
 
     ``outside`` maps each form not in ``side`` to its residual against the
     span of ``side``; reducing those by the residual of ``u`` gives the
     residuals against the grown span, and a zero residual puts its form in
-    the closure.  Returns the closed side and its ``outside`` map.
+    the closure.  A residual that is zero at the pivot of ``u``'s residual
+    is already reduced, and it stays nonzero.  Returns the closed side and
+    its ``outside`` map.
     """
     row = outside[u]
-    step = [(next(j for j, x in enumerate(row) if x), row)]
+    pivot = next(j for j, x in enumerate(row) if x)
+    lead = row[pivot]
     side |= 1 << u
     still_outside = {}
     for e, res in outside.items():
-        if e == u:
-            continue
-        res = int_residual(step, res)
-        if any(res):
+        c = res[pivot]
+        if not c:
             still_outside[e] = res
-        elif other >> e & 1:
-            return None
-        else:
-            side |= 1 << e
+        elif e != u:
+            res = [lead * x - c * y for x, y in zip(res, row)]
+            g = gcd(*res)
+            if g:
+                still_outside[e] = [x // g for x in res] if g > 1 else res
+            elif other >> e & 1:
+                return None
+            else:
+                side |= 1 << e
     return side, still_outside
 
 
@@ -298,43 +311,74 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
 
     Exact cover memoised on the uncovered forms: the lowest uncovered form
     opens the next block, so its candidates are the clopen sets with that
-    least form, tried in the order of their best possible RGS.  A cover of
-    ``uncovered`` has at most rank(uncovered) blocks (module docstring).
+    least form, tried in the order of their best possible RGS.  A candidate
+    is skipped when the forms it leaves cannot be covered by enough blocks
+    to beat the best cover so far, or to tie it with a smaller RGS.  Two
+    bounds on the blocks of a cover of a set U are tested, the cheap one
+    first:
+
+    * Size bound.  Let size(i) be the size of the smallest clopen set that
+      holds form i.  A block B holds only forms with size(i) <= |B|, so
+      sum over i in B of 1/size(i) >= 1, and a cover of U has at most
+      sum over i in U of 1/size(i) blocks.  The sum is kept in integers,
+      with weight lcm/size(i) for form i.
+    * Rank bound.  A cover of U has at most rank(U) blocks (module
+      docstring).  Ranks are computed only when the size bound does not
+      prune, and memoised apart from the facts that a cover of U has fewer
+      than ``need`` blocks, which the search learns where it fails.
     """
     k = len(vecs)
+    clopen = _clopen_sets(vecs)
+    by_size: dict[int, Mask] = {}  # size(i) -> the forms i with that size
+    unsized = (1 << k) - 1
+    for s in sorted(clopen, key=int.bit_count):  # E itself is clopen
+        if s & unsized:
+            by_size[s.bit_count()] = by_size.get(s.bit_count(), 0) | s & unsized
+            unsized &= ~s
+    scale = lcm(*by_size)
     starting: dict[int, list[Mask]] = {}
-    for s in sorted(_clopen_sets(vecs), key=lambda s: [~s >> i & 1 for i in range(k)]):
+    # by the least RGS a first block s allows: labels 0 on s, 1 elsewhere
+    for s in sorted(clopen, key=lambda s: format(s, "b").zfill(k)[::-1], reverse=True):
         starting.setdefault(_low(s), []).append(s)
     best: dict[Mask, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    bound: dict[Mask, int] = {}
+    rank: dict[Mask, int] = {}
+    fewer: dict[Mask, int] = {}  # a cover of the mask has fewer blocks than this
 
-    def upper(mask: Mask) -> int:
-        if mask not in bound:
-            bound[mask] = int_rank(vecs[i] for i in range(k) if mask >> i & 1)
-        return bound[mask]
+    def reaches(mask: Mask, blocks: int) -> bool:
+        """False when no cover of ``mask`` has ``blocks`` blocks or more."""
+        if blocks <= 1:
+            return True
+        weight = sum(scale // c * (mask & m).bit_count() for c, m in by_size.items())
+        if weight < blocks * scale:
+            return False
+        if fewer.get(mask, blocks + 1) <= blocks:
+            return False
+        if mask not in rank:
+            rank[mask] = int_rank(vecs[i] for i in range(k) if mask >> i & 1)
+        return rank[mask] >= blocks
 
     def solve(uncovered: Mask, need: int) -> Optional[tuple[int, tuple[int, ...]]]:
         """(blocks, RGS) of the best cover if it has at least ``need`` blocks."""
         hit = best.get(uncovered)
         if hit is not None:
             return hit if hit[0] >= need else None
-        if need > 1 and upper(uncovered) < need:  # every form is nonzero: rank >= 1
-            return None
         forms = [i for i in range(k) if uncovered >> i & 1]
         top = None
         for s in starting.get(forms[0], ()):
             if s & ~uncovered:
                 continue
             rest = uncovered & ~s
-            target = need if top is None else top[0]
-            reach = 1 + upper(rest)
-            if reach < target:
+            # blocks the rest must reach: as many as the best cover so far
+            # has after its first block, one more when a first block s
+            # cannot give a smaller RGS (labels 0 on s, 1 elsewhere)
+            want = need - 1
+            if top is not None:
+                want = top[0] - 1 + (
+                    tuple(0 if s >> i & 1 else 1 for i in forms) >= top[1]
+                )
+            if not reaches(rest, want):
                 continue
-            if top is not None and reach == target and (
-                tuple(0 if s >> i & 1 else 1 for i in forms) >= top[1]
-            ):
-                continue  # a tie at best, and no RGS below the current one
-            sub = solve(rest, target - 1)
+            sub = solve(rest, want)
             if sub is None:
                 continue
             labels = iter(sub[1])
@@ -342,7 +386,7 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
             if top is None or (-1 - sub[0], rgs) < (-top[0], top[1]):
                 top = (1 + sub[0], rgs)
         if top is None:
-            bound[uncovered] = need - 1
+            fewer[uncovered] = need
             return None
         best[uncovered] = top
         return top

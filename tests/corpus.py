@@ -23,6 +23,14 @@ def moment_curve_arrangement(n: int, r: int) -> Arrangement:
     return load(n, [[t**k for k in range(n + 1)] for t in range(1, r + 1)])
 
 
+def direct_sum(a: Arrangement, b: Arrangement) -> Arrangement:
+    """The forms of ``a`` and of ``b`` on disjoint coordinates."""
+    pad_a, pad_b = [0] * (b.n + 1), [0] * (a.n + 1)
+    rows = [list(f) + pad_a for f in a.forms]
+    rows += [pad_b + list(f) for f in b.forms]
+    return load(a.n + b.n + 1, rows)
+
+
 @st.composite
 def arrangements(draw, max_r=8):
     """Arrangements with small entries, so many forms are dependent."""

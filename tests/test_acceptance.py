@@ -7,7 +7,6 @@ lines as they pass.  All tolerances are exact (rational arithmetic).
 import random
 from itertools import combinations
 
-from hyparc.arrangement import compute_m, load
 from hyparc.corollaries import finiteness_verdict
 from hyparc.dimension_search import (
     SpanCache,

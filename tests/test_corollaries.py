@@ -4,8 +4,10 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hyparc import corollaries
 from hyparc.arrangement import Arrangement, load
 from hyparc.corollaries import (
     cross_check,
@@ -18,6 +20,7 @@ from hyparc.exact_linalg import contains, intersect, span
 
 from .corpus import (
     arrangements,
+    direct_sum,
     moment_curve_arrangement,
     random_arrangement,
     sparse_arrangements,
@@ -102,6 +105,29 @@ def test_finiteness_matches_zassenhaus_on_general_position():
     for n, r in [(1, 3), (2, 4), (2, 5), (3, 7), (3, 8), (4, 9)]:
         a = moment_curve_arrangement(n, r)
         assert finiteness_verdict(a) == zassenhaus_finiteness(a) == (r >= 2 * n + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    arrangements(max_r=9),
+    sparse_arrangements(max_r=9),
+    st.builds(direct_sum, arrangements(max_r=5), arrangements(max_r=5)),
+))
+def test_side_cap_matches_zassenhaus_scan(a):
+    """Where r <= 2s the search runs, and the cap of s forms a side only prunes."""
+    assume(a.m == -1 and a.r <= 2 * a.s)
+    assert finiteness_verdict(a) == zassenhaus_finiteness(a)
+
+
+def test_more_than_twice_s_forms_are_finite_without_a_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran although r > 2s")
+
+    monkeypatch.setattr(corollaries, "_clopen_split", no_search)
+    a = moment_curve_arrangement(4, 9)  # s = 4
+    assert finiteness_verdict(a)
+    with pytest.raises(AssertionError, match="the search ran"):
+        finiteness_verdict(moment_curve_arrangement(4, 8))
 
 
 class TestGeneralPositionBound:

@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyparc import cli
-from hyparc.arrangement import BIPARTITION_SCAN_LIMIT, RefusedError, load
+from hyparc.arrangement import (
+    BIPARTITION_SCAN_LIMIT,
+    RefusedError,
+    is_general_position,
+    load,
+)
 from hyparc.dimension_search import (
     SpanCache,
+    _close,
     _components,
     achievable_dimensions,
     blocks_of,
@@ -19,10 +25,11 @@ from hyparc.dimension_search import (
     max_valid_parts,
     partitions_rgs,
 )
-from hyparc.exact_linalg import int_rank, span
+from hyparc.exact_linalg import int_echelon, int_rank, int_residual, span
 
 from .corpus import (
     arrangements,
+    direct_sum,
     moment_curve_arrangement,
     random_arrangement,
     sparse_arrangements,
@@ -189,22 +196,93 @@ def test_search_matches_brute_force_on_sparse_forms(a):
     assert max_valid_parts(a) == brute_force_max_parts(a)
 
 
-def _direct_sum(a, b):
-    """The forms of ``a`` and of ``b`` on disjoint coordinates."""
-    pad_a, pad_b = [0] * (b.n + 1), [0] * (a.n + 1)
-    rows = [list(f) + pad_a for f in a.forms]
-    rows += [pad_b + list(f) for f in b.forms]
-    return load(a.n + b.n + 1, rows)
-
-
 @settings(max_examples=40, deadline=None)
 @given(arrangements(max_r=6), arrangements(max_r=6))
 def test_direct_sum_adds_parts(a, b):
     """A summand with no valid partition contributes one block."""
-    s = _direct_sum(a, b)
+    s = direct_sum(a, b)
     parts, witness = max_valid_parts(s)
     assert parts == (max_valid_parts(a)[0] or 1) + (max_valid_parts(b)[0] or 1)
     assert check_partition(s, witness).valid
+
+
+def _closure(vecs, members):
+    """Oracle: the forms whose vector adds nothing to the rank of ``members``."""
+    base = [vecs[i] for i in members]
+    rank = int_rank(base)
+    return {i for i, v in enumerate(vecs) if int_rank(base + [v]) == rank}
+
+
+def test_close_matches_closure_from_scratch():
+    """One ``_close`` step against the closure recomputed by rank.
+
+    The vectors are sparse, so many residuals are zero at the pivot of the
+    new row and take the path that keeps them unchanged.
+    """
+    rng = random.Random(31)
+    unchanged = 0
+    for _ in range(400):
+        width, k = rng.randint(2, 6), rng.randint(2, 9)
+        vecs = []
+        while len(vecs) < k:
+            v = tuple(rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(width))
+            if any(v):
+                vecs.append(v)
+        side = _closure(vecs, [i for i in range(k) if rng.random() < 0.3])
+        rows = int_echelon(vecs[i] for i in sorted(side))
+        outside = {e: int_residual(rows, v) for e, v in enumerate(vecs) if e not in side}
+        if not outside:
+            continue
+        u = rng.choice(sorted(outside))
+        other = sum(1 << e for e in outside if e != u and rng.random() < 0.3)
+        pivot = next(j for j, x in enumerate(outside[u]) if x)
+        unchanged += sum(1 for e, res in outside.items() if not res[pivot])
+        got = _close(sum(1 << i for i in side), outside, u, other)
+        grown = _closure(vecs, side | {u})
+        if any(other >> e & 1 for e in grown):
+            assert got is None
+            continue
+        grown_mask, grown_outside = got
+        assert grown_mask == sum(1 << i for i in grown)
+        assert is_flat(vecs, grown)
+        assert set(grown_outside) == set(range(k)) - grown
+        base = [vecs[i] for i in grown]
+        for e, res in grown_outside.items():
+            # res is a nonzero multiple of vecs[e] modulo span(grown)
+            assert (
+                int_rank(base + [res])
+                == int_rank(base + [vecs[e]])
+                == int_rank(base + [res, vecs[e]])
+                == int_rank(base) + 1
+            )
+    assert unchanged > 100
+
+
+def _random_general_position(rng, n, r):
+    while True:
+        a = random_arrangement(rng, n, r)
+        if a.r == r and is_general_position(a):
+            return a
+
+
+def test_search_matches_brute_force_on_general_position():
+    """Inputs where the clopen-set size bound is what prunes the cover.
+
+    In general position with n + 1 < r <= 2n the smallest clopen sets have
+    r - n forms, so the bound of r / (r - n) blocks is p_max itself; a
+    direct sum adds the parts of its summands.
+    """
+    rng = random.Random(12)
+    cases = [moment_curve_arrangement(n, r) for r in range(2, 8) for n in range(1, r)]
+    cases += [_random_general_position(rng, rng.randint(2, 5), rng.randint(4, 7))
+              for _ in range(8)]
+    cases += [
+        direct_sum(moment_curve_arrangement(1, 3), moment_curve_arrangement(2, 4)),
+        direct_sum(moment_curve_arrangement(3, 5), moment_curve_arrangement(1, 2)),
+        direct_sum(_random_general_position(rng, 3, 5), moment_curve_arrangement(1, 3)),
+    ]
+    for a in cases:
+        assert max_valid_parts(a) == brute_force_max_parts(a)
 
 
 def _circuit_components(forms):
@@ -235,7 +313,7 @@ def _circuit_components(forms):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     sparse_arrangements(max_r=8),
-    st.builds(_direct_sum, arrangements(max_r=4), arrangements(max_r=4)),
+    st.builds(direct_sum, arrangements(max_r=4), arrangements(max_r=4)),
 ))
 def test_components_match_circuit_oracle(a):
     comps = _components(a.forms)

@@ -35,7 +35,6 @@ from hyparc.witness import (
 
 from .corpus import (
     arrangements,
-    moment_curve_arrangement,
     random_arrangement,
     sparse_arrangements,
 )
