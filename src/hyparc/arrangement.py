@@ -158,6 +158,7 @@ def compute_s(a: Arrangement) -> int:
             dfs(i + 1, rows, count)
 
     dfs(0, [], 0)
+    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
     return best
 
 

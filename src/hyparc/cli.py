@@ -120,7 +120,7 @@ def build_report(a: Arrangement, with_witness: bool = True) -> dict:
             w = witness.build_witness_for_mplus1(a)
         doc["witness_subspace"] = {
             "dim": w.dim,
-            "point_basis": [list(primitive_vector(row)) for row in w.point_basis],
+            "point_basis": [list(row) for row in w.point_basis],
             "restriction_classes": [
                 {"covector": list(cls), "forms": list(idxs)}
                 for cls, idxs in w.verification.classes

@@ -303,6 +303,7 @@ def _clopen_sets(vecs: list[tuple[int, ...]]) -> list[Mask]:
 
     nothing = dict(enumerate(vecs))
     dfs(*_close(0, nothing, 0, 0), 0, nothing)
+    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
     return found
 
 
@@ -391,7 +392,9 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
         best[uncovered] = top
         return top
 
-    return solve((1 << k) - 1, 1)[1]
+    rgs = solve((1 << k) - 1, 1)[1]
+    del solve  # break the function <-> cell cycle, so no garbage is left for gc
+    return rgs
 
 
 def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:

@@ -2,16 +2,20 @@
 
 Two representations, both exact; no floating point is used anywhere.
 
-* Integer echelon rows answer rank questions (rank, span membership,
-  flats) and carry the witness's chain spaces: ``int_intersect`` (Zassenhaus)
-  and ``int_nullspace`` run on the same ``int_echelon``.  The forms are
-  primitive integer vectors already, so elimination is fraction-free: each
-  step cross-multiplies and divides the result by the gcd of its entries,
-  which keeps every row a primitive integer vector.
+* Integer echelon rows are all that ``analyze`` uses.  They answer rank
+  questions (rank, span membership, flats) and carry the witness:
+  ``int_intersect`` (Zassenhaus), ``int_nullspace`` and ``int_rref`` run on
+  the same ``int_echelon``.  The forms are primitive integer vectors
+  already, so elimination is fraction-free: each step cross-multiplies and
+  divides the result by the gcd of its entries, which keeps every row a
+  primitive integer vector.  ``int_rref`` rows are canonical: divided by
+  their pivot entries they are the reduced row echelon basis.
 * ``Subspace``, a canonical reduced row-echelon basis of ``Fraction``
   vectors (every pivot 1, pivots strictly increasing, zeros above and below
-  each pivot), is used for everything that reaches the output: two subspaces
-  are equal iff their basis tuples are equal.
+  each pivot): two subspaces are equal iff their basis tuples are equal.
+  It and the ``Fraction`` kernels (``span``, ``intersect``, ``contains``,
+  ``nullspace``, ``solve_coordinates``, ``reduce_against``) serve the test
+  oracles and the benchmark's tracing hooks; ``analyze`` never runs them.
 
 Covector spaces (linear forms) and point spaces share this machinery; the
 semantic split is maintained by the callers (``nullspace`` and
@@ -44,23 +48,24 @@ def vector(coords: Iterable) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def primitive_vector(coords: Sequence[Fraction]) -> tuple[int, ...]:
+def primitive_vector(coords: Sequence) -> tuple[int, ...]:
     """Canonical integer representative of a projective class.
 
-    Clears denominators, divides by the gcd, and makes the first nonzero
-    entry positive.  Raises on the zero vector (it has no projective class).
+    Clears denominators (integer vectors have none), divides by the gcd,
+    and makes the first nonzero entry positive.  Raises on the zero vector
+    (it has no projective class).
     """
-    fracs = [Fraction(c) for c in coords]
-    if all(c == 0 for c in fracs):
+    ints = list(coords)
+    if not all(type(c) is int for c in ints):
+        fracs = [Fraction(c) for c in ints]
+        denom_lcm = lcm(*(c.denominator for c in fracs))
+        ints = [c.numerator * (denom_lcm // c.denominator) for c in fracs]
+    if not any(ints):
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = lcm(*(c.denominator for c in fracs))
-    ints = [c.numerator * (denom_lcm // c.denominator) for c in fracs]
     g = gcd(*ints)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def _rref(rows: Iterable[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
@@ -118,6 +123,31 @@ def int_echelon(vectors: Iterable[Sequence[int]]) -> IntRows:
             g = gcd(*res)
             rows.append((pivot, tuple(x // g for x in res) if g > 1 else res))
     return rows
+
+
+def int_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
+    """Integer rows of the reduced row echelon form of the vectors' span.
+
+    The rows are sorted by pivot, primitive, positive at their pivot and
+    zero at every other row's pivot, so row q divided by q[pivot] is the
+    canonical RREF row that ``span`` returns.  Each pivot column is cleared
+    from the earlier rows by cross-multiplying and dividing by the gcd;
+    every later row is zero there already.
+    """
+    rows = [
+        [p, row if row[p] > 0 else tuple(-x for x in row)]
+        for p, row in sorted(int_echelon(vectors))
+    ]
+    for k in range(len(rows) - 1, 0, -1):
+        p, q = rows[k]
+        c0 = q[p]
+        for entry in rows[:k]:
+            c = entry[1][p]
+            if c:
+                res = [c0 * x - c * y for x, y in zip(entry[1], q)]
+                g = gcd(*res)
+                entry[1] = tuple(x // g for x in res)
+    return [(p, row) for p, row in rows]
 
 
 def int_rank(vectors: Iterable[Sequence[int]]) -> int:

@@ -18,28 +18,29 @@ loci) is realized deterministically by walking the integer moment curve
 (1, t, t^2, ...) for t = 0, 1, 2, ...; each constraint excludes only
 finitely many t, so the walk terminates and the output is reproducible.
 
-Arithmetic.  The forms are the arrangement's primitive integer rows, and
-the chain lives on the integer kernel of ``exact_linalg``: each U_i is a
-list of integer echelon rows, U_0 = W comes from one Zassenhaus
-intersection per block but the last, and the invariants are checked with
-integer residuals, ranks and block intersections.  Step i extends the
-block intersection U_{i-1} ∩ B_i that the check of U_{i-1} (for U_0, the
-sum giving W) already computed.  The zero set of U_p, the restrictions'
-dot products and the rank of their classes are integer too.  Canonical
-``Fraction`` RREF is computed only where a result depends on the basis and
-not just on the space: the moment-curve walk in
-``generic_avoiding_extension`` reads the bases of U_{i-1} ∩ B_i and B_i
-(the forms it avoids stay integer rows, and the kernel of the functional
-it picks is written down, not eliminated), and the report prints the basis
-of Y.  Both are canonical, so every U_i is the same space, and the witness
-the same bytes, however U_i is stored.
+Arithmetic.  Everything here is integer; only ``make_witness`` takes
+rational point rows, and clears their denominators first.  The forms are
+the arrangement's primitive integer rows, and each U_i is a list of
+integer echelon rows of ``exact_linalg``: U_0 = W comes from one
+Zassenhaus intersection per block but the last, and the invariants are
+checked with integer residuals, ranks and block intersections.  Step i
+extends the block intersection U_{i-1} ∩ B_i that the check of U_{i-1}
+(for U_0, the sum giving W) already computed.  Where a result depends on
+the basis and not just on the space, the basis is canonical: the
+moment-curve walk in ``generic_avoiding_extension`` reads the ``int_rref``
+rows of U_{i-1} ∩ B_i and B_i, each a primitive integer multiple of a
+reduced row echelon row, and keeps the rational vectors it derives from
+them as an integer row over one positive denominator, so it picks the same
+t and the same kernel as exact rational elimination would.  The report
+prints the ``int_rref`` rows of Y, and the restrictions are integer dot
+products with them.  So every U_i is the same space, and the witness the
+same bytes, however U_i is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arrangement import Arrangement
@@ -48,17 +49,13 @@ from .exact_linalg import (
     DimensionMismatchError,
     IntRows,
     InternalError,
-    Subspace,
-    Vector,
     int_echelon,
     int_intersect,
     int_nullspace,
     int_rank,
     int_residual,
+    int_rref,
     primitive_vector,
-    reduce_against,
-    span,
-    vector,
 )
 
 _GENERIC_SEARCH_CAP = 10_000  # far beyond any reachable bad-value count
@@ -90,11 +87,16 @@ class CondCheck:
 
 @dataclass(frozen=True)
 class WitnessSubspace:
-    """A projective subspace Y parametrized by an echelon point basis."""
+    """A projective subspace Y parametrized by an echelon point basis.
 
-    point_basis: tuple[Vector, ...]
+    ``point_basis`` holds the ``int_rref`` rows of Y's points: row q stands
+    for the canonical RREF row q / q[pivot], and ``restrictions`` gives each
+    form on those RREF rows, all scaled by one positive integer.
+    """
+
+    point_basis: tuple[tuple[int, ...], ...]
     dim: int
-    restrictions: tuple[Vector, ...]
+    restrictions: tuple[tuple[int, ...], ...]
     verification: CondCheck
 
 
@@ -117,28 +119,20 @@ def _moment_vector(dim: int, t: int) -> tuple[int, ...]:
     return tuple(t**k for k in range(dim))
 
 
-def _restrictions(
-    point_basis: Sequence[Vector], coeffs: Sequence[Sequence[int]]
-) -> list[Vector]:
+def _restrictions(points: IntRows, coeffs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Each form as a covector on the parameter space of the point basis.
 
-    Each basis row is scaled to integers by the lcm of its denominators, so
-    an entry is one integer dot product divided by that lcm.
+    The parameters are the coordinates in the canonical RREF rows q / q[pivot].
+    Row q is scaled by L / q[pivot], with L the lcm of the pivot entries, so
+    every covector comes out as integer dot products, L times the exact one.
     """
-    scaled = []
-    for row in point_basis:
-        d = lcm(*(c.denominator for c in row))
-        scaled.append((d, [c.numerator * (d // c.denominator) for c in row]))
-    return [
-        tuple(Fraction(sum(x * y for x, y in zip(f, num)), d) for d, num in scaled)
-        for f in coeffs
-    ]
+    scale = lcm(*(q[p] for p, q in points))
+    scaled = [[x * (scale // q[p]) for x in q] for p, q in points]
+    return [tuple(sum(x * y for x, y in zip(f, row)) for row in scaled) for f in coeffs]
 
 
-def _cond_check(restrictions: Sequence[Vector]) -> CondCheck:
-    vanishing = next(
-        (i for i, rho in enumerate(restrictions) if all(c == 0 for c in rho)), None
-    )
+def _cond_check(restrictions: Sequence[Sequence[int]]) -> CondCheck:
+    vanishing = next((i for i, rho in enumerate(restrictions) if not any(rho)), None)
     if vanishing is not None:
         return CondCheck(
             ok=False,
@@ -166,60 +160,104 @@ def _cond_check(restrictions: Sequence[Vector]) -> CondCheck:
 
 
 def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
-    """Normalize a point parametrization and attach its verification record."""
-    points = span([vector(row) for row in point_rows], a.n + 1)
-    restrictions = tuple(_restrictions(points.basis, a.forms))
+    """Verify the span of exact rational point rows as a witness."""
+    if any(len(row) != a.n + 1 for row in point_rows):
+        raise DimensionMismatchError(f"point row not of length {a.n + 1}")
+    return _witness(a, [primitive_vector(row) for row in point_rows if any(row)])
+
+
+def _witness(a: Arrangement, point_rows: Sequence[Sequence[int]]) -> WitnessSubspace:
+    """Normalize an integer point parametrization and attach its verification record."""
+    points = int_rref(point_rows)
+    restrictions = tuple(_restrictions(points, a.forms))
     return WitnessSubspace(
-        point_basis=points.basis,
-        dim=points.rank - 1,
+        point_basis=tuple(_plain(points)),
+        dim=len(points) - 1,
         restrictions=restrictions,
         verification=_cond_check(restrictions),
     )
 
 
-def generic_avoiding_extension(
-    container: Subspace, inside: Subspace, avoid: Sequence[Sequence]
-) -> Subspace:
-    """A hyperplane of ``container`` containing ``inside``, missing ``avoid``.
+# A rational row R / D, D > 0, with the pivot it is reduced at: (pivot, R, D).
+_RationalRow = tuple[int, Sequence[int], int]
 
-    Works in the quotient container/inside: completes the inside basis to a
-    basis of the container, expresses each avoid vector there, and picks the
-    first moment-curve functional phi = (1, t, t^2, ...) nonzero on every
-    avoid image.  The returned hyperplane is the inside plus the kernel of
-    phi; as phi_0 = 1, that kernel is spanned by e_f - t^f e_0 for f >= 1.
-    An avoid vector lies in the container iff it has coordinates in that
-    basis, and in the inside iff its coordinates past the inside basis
-    vanish.
+
+def _reduce(
+    rows: Sequence[_RationalRow], num: Sequence[int], den: int
+) -> tuple[Sequence[int], int, list[tuple[int, int]]]:
+    """Residual of the rational vector num / den, and the multiple of each row.
+
+    The rows are echelon in insertion order: each row's pivot is its first
+    nonzero entry, where every later row is zero.  Reducing num / den by
+    R / D at pivot p gives (R[p] num - num[p] R) / (den R[p]), divided by
+    the gcd of its entries and denominator, and the multiple subtracted is
+    num[p] D / (den R[p]), returned as a (numerator, positive denominator)
+    pair.  A zero residual means num / den is in the span, with the
+    multiples as its coordinates.
     """
-    if inside.rank >= container.rank:
+    multiples = []
+    for p, row, d in rows:
+        c = num[p]
+        if not c:
+            multiples.append((0, 1))
+            continue
+        rp = row[p]
+        if rp < 0:
+            rp, c = -rp, -c
+        multiples.append((c * d, den * rp))
+        num = [rp * x - c * y for x, y in zip(num, row)]
+        den *= rp
+        g = gcd(den, *num)
+        if g > 1:
+            num, den = [x // g for x in num], den // g
+    return num, den, multiples
+
+
+def generic_avoiding_extension(
+    container: IntRows, inside: IntRows, avoid: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Kernel rows of a hyperplane of ``container`` containing ``inside``, missing ``avoid``.
+
+    ``container`` and ``inside`` are ``int_rref`` rows, each standing for
+    its canonical RREF row q / q[pivot].  Works in the quotient
+    container/inside: completes the inside basis to a basis of the
+    container by rational vectors ext_f = R_f / D_f, expresses each avoid
+    vector there, and picks the first moment-curve functional
+    phi = (1, t, t^2, ...) nonzero on every avoid image.  The hyperplane is
+    the inside plus the kernel of phi; as phi_0 = 1, that kernel is spanned
+    by ext_f - t^f ext_0 for f >= 1, and the rows returned are their
+    positive multiples D_0 R_f - t^f D_f R_0.  An avoid vector lies in the
+    container iff it has coordinates in that basis, and in the inside iff
+    its coordinates past the inside basis vanish.
+    """
+    if len(inside) >= len(container):
         raise ValueError("inside must be a proper subspace of container")
+    width = len(container[0][1])
     # Complete the inside basis to a basis of the container.
-    basis = list(inside.basis)
-    for b in container.basis:
-        res, _ = reduce_against(basis, b)
-        if any(res):
-            basis.append(tuple(res))
-    j = inside.rank
-    ext = basis[j:]
-    quot = len(ext)
+    basis: list[_RationalRow] = [(p, q, q[p]) for p, q in inside]
+    for p, q in container:
+        num, den, _ = _reduce(basis, q, q[p])
+        if any(num):
+            basis.append((next(i for i, x in enumerate(num) if x), num, den))
+    j = len(inside)
     tails = []
     for v in avoid:
-        if len(v) != container.ambient_dim:
+        if len(v) != width:
             raise DimensionMismatchError("avoid vector of the wrong length")
-        res, coords = reduce_against(basis, v)
+        res, _, coords = _reduce(basis, v, 1)
         if any(res):
             raise ValueError("avoid vector outside the container")
-        if not any(coords[j:]):
+        tail = coords[j:]
+        if not any(c for c, _ in tail):
             raise ValueError("avoid vector lies inside the forced subspace")
-        tails.append(coords[j:])
-    for t in range(_GENERIC_SEARCH_CAP):
-        phi = _moment_vector(quot, t)
-        if all(sum(p * q for p, q in zip(phi, tail)) != 0 for tail in tails):
-            break
-    else:
-        raise InternalError("no generic functional found; this cannot happen")
-    kernel = [tuple(x - t**f * y for x, y in zip(ext[f], ext[0])) for f in range(1, quot)]
-    return span(list(inside.basis) + kernel, container.ambient_dim)
+        scale = lcm(*(d for _, d in tail))
+        tails.append([c * (scale // d) for c, d in tail])
+    phi = _generic_point(tails, len(basis) - j)
+    _, r_0, d_0 = basis[j]
+    return [
+        tuple(d_0 * x - t_f * d_f * y for x, y in zip(r_f, r_0))
+        for t_f, (_, r_f, d_f) in zip(phi[1:], basis[j + 1:])
+    ]
 
 
 def _check_chain_step(
@@ -286,21 +324,21 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     """
     validate_partition(a, partition)
     coeffs = a.forms
-    width = a.n + 1
     meets = block_overlaps(coeffs, partition)
     u = int_echelon(row for meet in meets for row in _plain(meet))
     violating = next((i for i, v in enumerate(coeffs) if _in(u, v)), None)
     if violating is not None:
         raise ValueError(f"partition fails the separation criterion (form {violating})")
-    block_rows = [int_echelon(coeffs[i] for i in block) for block in partition]
+    block_rows = [int_rref(coeffs[i] for i in block) for block in partition]
     chain = [u]
     for i, block in enumerate(partition, start=1):
         # The walk reads canonical bases, so U_i depends on the spaces alone.
-        avoid = [coeffs[idx] for idx in block]
-        container = span(_plain(block_rows[i - 1]), width)
-        inside = span(_plain(meets[i - 1]), width)
-        hyperplane = generic_avoiding_extension(container, inside, avoid)
-        u_next = int_echelon(_plain(u) + [primitive_vector(b) for b in hyperplane.basis])
+        # U_{i-1} holds the inside, so adding the kernel adds the hyperplane.
+        inside = int_rref(_plain(meets[i - 1]))
+        kernel = generic_avoiding_extension(
+            block_rows[i - 1], inside, [coeffs[idx] for idx in block]
+        )
+        u_next = int_echelon(_plain(u) + kernel)
         meets = _check_chain_step(coeffs, block_rows, u, u_next, i)
         chain.append(u_next)
         u = u_next
@@ -316,7 +354,7 @@ def witness_subspace(chain: UChain) -> WitnessSubspace:
     """Y = zero set of the final chain space, verified."""
     a = chain.arrangement
     points = int_nullspace(_plain(chain.rows[-1]), a.n + 1)
-    w = make_witness(a, _plain(points))
+    w = _witness(a, _plain(points))
     d = a.m + len(chain.partition)
     _assert(w.dim == d, f"witness has dimension {w.dim}, expected {d}")
     _assert(w.verification.ok, f"witness verification failed: {w.verification.diagnostics}")
@@ -345,7 +383,7 @@ def build_witness_for_mplus1(a: Arrangement) -> WitnessSubspace:
         rows = [point]
     else:
         rows = _plain(int_nullspace(a.forms, a.n + 1)) + [point]
-    w = make_witness(a, rows)
+    w = _witness(a, rows)
     _assert(w.dim == m + 1, f"baseline witness has dimension {w.dim}, expected {m + 1}")
     _assert(w.verification.ok, f"baseline witness failed: {w.verification.diagnostics}")
     return w

@@ -1,5 +1,6 @@
 """Shared random-corpus helpers for the test suite."""
 
+import gc
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -60,3 +61,14 @@ def sparse_arrangements(draw, max_r=9):
         )
     )
     return load(n, rows)
+
+
+def garbage_left_by(call, *args) -> int:
+    """Unreachable objects that only the cycle collector frees after call(*args)."""
+    gc.collect()
+    gc.disable()
+    try:
+        call(*args)
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -1,18 +1,34 @@
 """Test oracles that ``analyze`` never runs.
 
 ``is_flat`` is the plain definition of a flat of the forms' matroid, which
-the clopen tests compare the search's criteria against.  ``shrink_witness``
+the clopen tests compare the search's criteria against.
+``generic_avoiding_extension`` and ``restrictions`` are the ``Fraction``
+moment-curve walk and witness restrictions, on canonical RREF bases, that
+the integer ones in ``hyparc.witness`` are checked against.  ``shrink_witness``
 and ``induced_partition`` are the constructive proof behind the report's
 ``achievable`` list: every dimension below d_max has a verified witness, and
 a verified witness of dimension d > m + 1 induces a valid partition into
 d - m blocks.
 """
 
+from fractions import Fraction
+from itertools import count
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from hyparc.arrangement import Arrangement
 from hyparc.dimension_search import Blocks
-from hyparc.exact_linalg import Vector, int_echelon, int_residual, nullspace, vector
+from hyparc.exact_linalg import (
+    DimensionMismatchError,
+    Subspace,
+    Vector,
+    int_echelon,
+    int_residual,
+    nullspace,
+    reduce_against,
+    span,
+    vector,
+)
 from hyparc.witness import WitnessSubspace, _generic_point, make_witness
 
 
@@ -29,6 +45,70 @@ def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
     )
 
 
+def quotient_basis(container: Subspace, inside: Subspace) -> list[Vector]:
+    """The vectors completing the inside basis to a basis of the container.
+
+    Each container basis vector not yet in the span is reduced against the
+    inside basis and the vectors kept so far, and its residual is kept.
+    """
+    basis = list(inside.basis)
+    for b in container.basis:
+        res, _ = reduce_against(basis, b)
+        if any(res):
+            basis.append(tuple(res))
+    return basis[inside.rank:]
+
+
+def generic_avoiding_extension(
+    container: Subspace, inside: Subspace, avoid: Sequence[Sequence]
+) -> tuple[int, Subspace]:
+    """The moment-curve parameter t and the hyperplane of the walk, in ``Fraction``.
+
+    The hyperplane of ``container`` contains ``inside`` and misses every
+    avoid vector: with ext the ``quotient_basis``, it is the inside plus the
+    kernel of the first phi = (1, t, t^2, ...) nonzero on the coordinates
+    past the inside basis of every avoid vector, spanned by
+    ext_f - t^f ext_0 for f >= 1.
+    """
+    if inside.rank >= container.rank:
+        raise ValueError("inside must be a proper subspace of container")
+    ext = quotient_basis(container, inside)
+    basis = list(inside.basis) + ext
+    j = inside.rank
+    tails = []
+    for v in avoid:
+        if len(v) != container.ambient_dim:
+            raise DimensionMismatchError("avoid vector of the wrong length")
+        res, coords = reduce_against(basis, vector(v))
+        if any(res):
+            raise ValueError("avoid vector outside the container")
+        if not any(coords[j:]):
+            raise ValueError("avoid vector lies inside the forced subspace")
+        tails.append(coords[j:])
+    for t in count():
+        phi = [t**f for f in range(len(ext))]
+        if all(sum(p * q for p, q in zip(phi, tail)) != 0 for tail in tails):
+            break
+    kernel = [tuple(x - t**f * y for x, y in zip(ext[f], ext[0])) for f in range(1, len(ext))]
+    return t, span(list(inside.basis) + kernel, container.ambient_dim)
+
+
+def restrictions(point_basis: Sequence[Vector], coeffs: Sequence[Sequence[int]]) -> list[Vector]:
+    """Each form as a covector on the parameter space of the point basis.
+
+    Each basis row is scaled to integers by the lcm of its denominators, so
+    an entry is one integer dot product divided by that lcm.
+    """
+    scaled = []
+    for row in point_basis:
+        d = lcm(*(c.denominator for c in row))
+        scaled.append((d, [c.numerator * (d // c.denominator) for c in row]))
+    return [
+        tuple(Fraction(sum(x * y for x, y in zip(f, num)), d) for d, num in scaled)
+        for f in coeffs
+    ]
+
+
 def shrink_witness(a: Arrangement, y: WitnessSubspace, d_target: int) -> WitnessSubspace:
     """A verified witness of any dimension below an existing one.
 
@@ -42,6 +122,8 @@ def shrink_witness(a: Arrangement, y: WitnessSubspace, d_target: int) -> Witness
     check = make_witness(a, y.point_basis).verification
     if not check.ok:
         raise ValueError("witness to shrink does not verify")
+    # The restriction classes are covectors on the canonical RREF rows.
+    points = span(y.point_basis, a.n + 1).basis
     if d_target == y.dim:
         return y
     cut = y.dim + 1 - d_target
@@ -57,7 +139,7 @@ def shrink_witness(a: Arrangement, y: WitnessSubspace, d_target: int) -> Witness
     param_rows = core_rows + [point]
     ambient_rows = [
         tuple(
-            sum(prow[i] * y.point_basis[i][c] for i in range(param_dim))
+            sum(prow[i] * points[i][c] for i in range(param_dim))
             for c in range(a.n + 1)
         )
         for prow in param_rows

@@ -21,6 +21,7 @@ from hyparc.exact_linalg import int_rank, span
 
 from .corpus import (
     arrangements,
+    garbage_left_by,
     moment_curve_arrangement,
     random_arrangement,
     sparse_arrangements,
@@ -165,3 +166,9 @@ class TestProfile:
     def test_moment_curve_profile(self):
         p = profile(moment_curve_arrangement(3, 6))
         assert (p.m, p.r, p.s, p.general_position) == (-1, 6, 3, True)
+
+
+def test_compute_s_leaves_no_reference_cycles():
+    rng = random.Random(7)
+    for a in (random_arrangement(rng, 3, 6), moment_curve_arrangement(4, 7)):
+        assert garbage_left_by(compute_s, a) == 0

@@ -30,6 +30,7 @@ from hyparc.exact_linalg import int_echelon, int_rank, int_residual, span
 from .corpus import (
     arrangements,
     direct_sum,
+    garbage_left_by,
     moment_curve_arrangement,
     random_arrangement,
     sparse_arrangements,
@@ -383,3 +384,13 @@ class TestAchievableDimensions:
             rep = achievable_dimensions(a)
             assert rep.m + 1 <= rep.d_max <= min(a.n, rep.m + a.r)
             assert rep.achievable == tuple(range(rep.d_max + 1))
+
+
+def test_search_leaves_no_reference_cycles():
+    # The recursive closures of the clopen enumeration and the exact cover
+    # are deleted after the root call, so a search leaves nothing for gc.
+    rng = random.Random(5)
+    inputs = [random_arrangement(rng, 3, 6), moment_curve_arrangement(4, 7), FOUR_LINES]
+    inputs.append(direct_sum(inputs[0], inputs[2]))
+    for a in inputs:
+        assert garbage_left_by(max_valid_parts, a) == 0

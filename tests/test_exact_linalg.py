@@ -21,6 +21,7 @@ from hyparc.exact_linalg import (
     int_nullspace,
     int_rank,
     int_residual,
+    int_rref,
     intersect,
     nullspace,
     primitive_vector,
@@ -308,3 +309,13 @@ class TestIntegerKernel:
     def test_zero_rows_add_no_rank(self):
         assert int_rank([(0, 0, 0), (0, 0, 0)]) == 0
         assert int_rank([(0, 0), (1, -2), (0, 0), (-3, 6)]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix_strategy(4))
+def test_int_rref_rows_over_their_pivots_are_the_rref(rows):
+    reduced = int_rref(rows)
+    assert_echelon(reduced, 4)
+    assert all(gcd(*row) == 1 and row[p] > 0 for p, row in reduced)
+    canonical = tuple(tuple(Fraction(x, row[p]) for x in row) for p, row in reduced)
+    assert canonical == span(rows, 4).basis

@@ -8,7 +8,9 @@ Each pinned set holds the exit code and the SHA-256 of the stdout bytes of
 * ``golden_long_chains.json``: multi-block inputs whose witness chains are
   longer, ``random`` with n = 5-7, r = 9-11 and seeds 0-2,
   ``general_position`` n = 9, r = 12, and 20 coordinate forms in P^19 plus
-  x0 + x1 (a 19-step chain).
+  x0 + x1 (a 19-step chain), and ten ``random`` inputs (n = 3-7) whose
+  moment-curve walk has a quotient of dimension >= 2 and picks t = 1, so
+  the kernel depends on the exact coordinates of the avoided forms.
 
 Any change to a report on these corpora fails here.  To regenerate both
 files after an intended output change::
@@ -45,6 +47,15 @@ def golden_inputs() -> dict[str, dict]:
     return docs
 
 
+# (n, r, seed) of ``random`` inputs whose witness walk picks t = 1 with a
+# quotient of dimension >= 2.  At t = 0 the kernel is spanned by the
+# extension rows past the first, whatever their scale; at t >= 1 it is not.
+T_ONE_WALKS = (
+    (3, 5, 4), (3, 5, 7), (3, 5, 8), (5, 7, 8), (5, 8, 8),
+    (7, 9, 7), (7, 9, 8), (7, 10, 8), (7, 11, 8), (7, 12, 8),
+)
+
+
 def long_chain_inputs() -> dict[str, dict]:
     """Label -> input document for the inputs with long witness chains."""
     docs = {
@@ -56,6 +67,8 @@ def long_chain_inputs() -> dict[str, dict]:
     docs["general_position n=9 r=12 seed=0"] = cli.generate_document(
         "general_position", 9, 12
     )
+    for n, r, seed in T_ONE_WALKS:
+        docs[f"random n={n} r={r} seed={seed}"] = cli.generate_document("random", n, r, seed)
     coordinates = [[int(i == j) for j in range(20)] for i in range(20)]
     docs["coordinates n=19 plus x0+x1"] = {
         "n": 19, "forms": coordinates + [[1, 1] + [0] * 18],

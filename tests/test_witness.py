@@ -1,11 +1,15 @@
 """Witness construction: chain invariants, verification, shrinking."""
 
 import random
+from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hyparc import witness
 from hyparc.arrangement import compute_m, load
 from hyparc.dimension_search import (
     achievable_dimensions,
@@ -14,17 +18,20 @@ from hyparc.dimension_search import (
     partitions_rgs,
 )
 from hyparc.exact_linalg import (
+    DimensionMismatchError,
     InternalError,
     contains,
     int_echelon,
+    int_rref,
     intersect,
     nullspace,
     primitive_vector,
     span,
-    vector,
 )
 from hyparc.witness import (
     _check_chain_step,
+    _generic_point,
+    _restrictions,
     block_overlaps,
     build_u_chain,
     build_witness_for_mplus1,
@@ -33,6 +40,7 @@ from hyparc.witness import (
     witness_subspace,
 )
 
+from . import oracles
 from .corpus import (
     arrangements,
     random_arrangement,
@@ -44,48 +52,86 @@ FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 VALID_BIPARTITION = ((0, 3), (1, 2))  # {x2, x0+x1+x2} vs {x1, x0}
 
 
+def walk(container, inside, avoid):
+    """The integer walk on integer rows: (t it picked, kernel rows).
+
+    t is read from the moment-curve point the walk asks for; a quotient of
+    dimension 1 has only phi = (1), picked at t = 0.
+    """
+    picked = []
+
+    def spy(covectors, dim):
+        phi = _generic_point(covectors, dim)
+        picked.append(phi[1] if dim > 1 else 0)
+        return phi
+
+    with mock.patch.object(witness, "_generic_point", spy):
+        kernel = generic_avoiding_extension(int_rref(container), int_rref(inside), avoid)
+    return picked[0], kernel
+
+
+def extension(container, inside, avoid):
+    """The walk's hyperplane: the inside plus its kernel rows, canonical."""
+    _, kernel = walk(container, inside, avoid)
+    return span(list(inside) + kernel, len(container[0]))
+
+
 class TestGenericAvoidingExtension:
     def test_avoids_both_generators(self):
-        container = span([(1, 0, 0), (0, 1, 0)])
-        v = generic_avoiding_extension(
-            container, span([], 3), [vector((1, 0, 0)), vector((0, 1, 0))]
-        )
+        container = [(1, 0, 0), (0, 1, 0)]
+        v = extension(container, [], [(1, 0, 0), (0, 1, 0)])
         assert v.rank == 1
         assert not contains(v, (1, 0, 0))
         assert not contains(v, (0, 1, 0))
         # Deterministic: same call, same hyperplane.
-        again = generic_avoiding_extension(
-            container, span([], 3), [vector((1, 0, 0)), vector((0, 1, 0))]
-        )
-        assert again == v
+        assert extension(container, [], [(1, 0, 0), (0, 1, 0)]) == v
 
     def test_line_container_gives_zero_space(self):
-        v = generic_avoiding_extension(span([(1, 2, 3)]), span([], 3), [vector((1, 2, 3))])
-        assert v == span([], 3)
+        assert walk([(1, 2, 3)], [], [(1, 2, 3)]) == (0, [])
+        assert extension([(1, 2, 3)], [], [(1, 2, 3)]) == span([], 3)
 
     def test_empty_avoid_list(self):
-        container = span([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        inside = span([(1, 0, 0)])
-        v = generic_avoiding_extension(container, inside, [])
+        v = extension([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0)], [])
         assert v.rank == 2
         assert contains(v, (1, 0, 0))
 
     def test_avoid_vector_inside_forced_subspace(self):
         with pytest.raises(ValueError, match="inside"):
-            generic_avoiding_extension(
-                span([(1, 0, 0), (0, 1, 0)]), span([(1, 0, 0)]), [vector((1, 0, 0))]
-            )
+            walk([(1, 0, 0), (0, 1, 0)], [(1, 0, 0)], [(1, 0, 0)])
 
     def test_improper_inside(self):
-        u = span([(1, 0, 0)])
         with pytest.raises(ValueError, match="proper"):
-            generic_avoiding_extension(u, u, [])
+            walk([(1, 0, 0)], [(1, 0, 0)], [])
+
+    def test_avoid_vector_outside_container(self):
+        with pytest.raises(ValueError, match="outside the container"):
+            walk([(1, 0, 0), (0, 1, 0)], [], [(0, 0, 1)])
+
+    def test_avoid_vector_of_wrong_length(self):
+        with pytest.raises(DimensionMismatchError, match="wrong length"):
+            walk([(1, 0, 0), (0, 1, 0)], [], [(1, 0)])
+
+    def test_forced_t_keeps_the_scale_of_the_extension_rows(self):
+        # With no inside, ext is the RREF basis (1, 0, 1/2), (0, 1, 1/3); the
+        # avoid vectors have tails (0, 1) and (1, -1) there, which rule out
+        # t = 0 and t = 1, so the kernel is ext_1 - 2 ext_0.  On the rescaled
+        # basis (2, 0, 1), (0, 3, 1) the tails would be (0, 1) and (3, -2),
+        # giving t = 1 and another kernel.
+        t, kernel = walk([(2, 0, 1), (0, 3, 1)], [], [(0, 3, 1), (6, -6, 1)])
+        assert t == 2
+        assert span(kernel, 3) == span([(6, -3, 2)])
 
 
 @st.composite
 def extension_inputs(draw):
-    """A container, a proper subspace inside it, and integer vectors of the
-    container outside that subspace."""
+    """Integer rows of a container, of a proper subspace inside it, and
+    integer vectors of the container outside that subspace.
+
+    Besides random avoid vectors, ``forced`` of them have tails (0, 1, 0, ...)
+    and (s, -1, 0, ...) for s = 1, ..., forced - 1 on the oracle's quotient
+    basis, where phi = (1, t, ...) vanishes at t = 0 and at t = s, so the
+    walk must pick t >= forced.
+    """
     width = draw(st.integers(min_value=1, max_value=5))
     entries = st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width)
     container = span(draw(st.lists(entries, min_size=1, max_size=width)), width)
@@ -93,24 +139,35 @@ def extension_inputs(draw):
     k = container.rank
     weights = st.lists(st.integers(min_value=-3, max_value=3), min_size=k, max_size=k)
 
-    def combine(w):
-        return [sum(c * b[i] for c, b in zip(w, container.basis)) for i in range(width)]
+    def combine(w, rows):
+        return [sum(c * b[i] for c, b in zip(w, rows)) for i in range(width)]
 
-    inside = span([combine(w) for w in draw(st.lists(weights, max_size=k - 1))], width)
+    inside = span([combine(w, container.basis) for w in draw(st.lists(weights, max_size=k - 1))], width)
     avoid = [
         primitive_vector(v)
-        for v in (combine(w) for w in draw(st.lists(weights, min_size=1, max_size=6)))
+        for v in (combine(w, container.basis) for w in draw(st.lists(weights, max_size=6)))
         if not contains(inside, v)
     ]
+    ext = oracles.quotient_basis(container, inside)
+    forced = draw(st.integers(min_value=0, max_value=3)) if len(ext) >= 2 else 0
+    for s in range(forced):
+        tail = (s, -1) if s else (0, 1)
+        avoid.append(primitive_vector(combine(tail, ext)))
     assume(avoid)
-    return container, inside, avoid
+    rows = [primitive_vector(b) for b in container.basis]
+    inside_rows = [primitive_vector(b) for b in inside.basis]
+    return container, inside, rows, inside_rows, avoid, forced
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(extension_inputs())
 def test_generic_avoiding_extension_on_random_inputs(case):
-    container, inside, avoid = case
-    v = generic_avoiding_extension(container, inside, avoid)
+    container, inside, rows, inside_rows, avoid, forced = case
+    t, kernel = walk(rows, inside_rows, avoid)
+    oracle_t, oracle_space = oracles.generic_avoiding_extension(container, inside, avoid)
+    assert t == oracle_t >= forced
+    v = span(inside_rows + kernel, container.ambient_dim)
+    assert v == oracle_space
     assert all(contains(v, b) for b in inside.basis)
     assert all(contains(container, b) for b in v.basis)
     assert v.rank == container.rank - 1
@@ -263,6 +320,20 @@ class TestWitnessSubspace:
         w = witness_subspace(chain)
         assert w.dim == 3
         assert [cls for cls, _ in w.verification.classes] == list(a.forms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrangements(max_r=6), st.data())
+def test_restrictions_are_one_scale_of_the_fraction_ones(a, data):
+    width = a.n + 1
+    entries = st.lists(st.integers(min_value=-4, max_value=4), min_size=width, max_size=width)
+    rows = data.draw(st.lists(entries, min_size=1, max_size=width))
+    assume(any(any(row) for row in rows))
+    points = int_rref(rows)
+    expected = oracles.restrictions(span(rows, width).basis, a.forms)
+    got = _restrictions(points, a.forms)
+    scale = lcm(*(q[p] for p, q in points))
+    assert [[Fraction(x, scale) for x in rho] for rho in got] == [list(rho) for rho in expected]
 
 
 class TestVerifyCond:
