@@ -6,10 +6,10 @@ Two representations, both exact; no floating point is used anywhere.
   questions (rank, span membership, flats) and carry the witness:
   ``int_intersect`` (Zassenhaus), ``int_nullspace`` and ``int_rref`` run on
   the same ``int_echelon``.  The forms are primitive integer vectors
-  already, so elimination is fraction-free: each step cross-multiplies and
-  divides the result by the gcd of its entries, which keeps every row a
-  primitive integer vector.  ``int_rref`` rows are canonical: divided by
-  their pivot entries they are the reduced row echelon basis.
+  already, so elimination is fraction-free: each ``int_residual`` step
+  cross-multiplies and divides by the gcd, keeping every row a primitive
+  integer vector.  ``int_rref`` rows are canonical: divided by their pivot
+  entries they are the reduced row echelon basis.
 * ``Subspace``, a canonical reduced row-echelon basis of ``Fraction``
   vectors (every pivot 1, pivots strictly increasing, zeros above and below
   each pivot): two subspaces are equal iff their basis tuples are equal.
@@ -101,16 +101,16 @@ def int_residual(rows: IntRows, v: Sequence[int]) -> tuple[int, ...]:
 
     The residual is zero iff v lies in the span of the rows.
     """
-    res = tuple(v)
+    res = v
     for pivot, row in rows:
         c = res[pivot]
         if c:
             p = row[pivot]
-            res = tuple(p * x - c * y for x, y in zip(res, row))
+            res = [p * x - c * y for x, y in zip(res, row)]
             g = gcd(*res)
             if g > 1:
-                res = tuple(x // g for x in res)
-    return res
+                res = [x // g for x in res]
+    return tuple(res)
 
 
 def int_echelon(vectors: Iterable[Sequence[int]]) -> IntRows:
@@ -131,22 +131,17 @@ def int_rref(vectors: Iterable[Sequence[int]]) -> IntRows:
     The rows are sorted by pivot, primitive, positive at their pivot and
     zero at every other row's pivot, so row q divided by q[pivot] is the
     canonical RREF row that ``span`` returns.  Each pivot column is cleared
-    from the earlier rows by cross-multiplying and dividing by the gcd;
-    every later row is zero there already.
+    from the earlier rows by one ``int_residual`` step against its row;
+    every later row is zero there already.  The step multiplies by the
+    positive pivot entry, so every pivot entry stays positive.
     """
     rows = [
         [p, row if row[p] > 0 else tuple(-x for x in row)]
         for p, row in sorted(int_echelon(vectors))
     ]
     for k in range(len(rows) - 1, 0, -1):
-        p, q = rows[k]
-        c0 = q[p]
         for entry in rows[:k]:
-            c = entry[1][p]
-            if c:
-                res = [c0 * x - c * y for x, y in zip(entry[1], q)]
-                g = gcd(*res)
-                entry[1] = tuple(x // g for x in res)
+            entry[1] = int_residual(rows[k:k + 1], entry[1])
     return [(p, row) for p, row in rows]
 
 

@@ -14,6 +14,7 @@ from hyparc.arrangement import (
     is_general_position,
     load,
 )
+from hyparc.corollaries import _closed_with
 from hyparc.dimension_search import (
     SpanCache,
     _close,
@@ -214,11 +215,14 @@ def _closure(vecs, members):
     return {i for i, v in enumerate(vecs) if int_rank(base + [v]) == rank}
 
 
-def test_close_matches_closure_from_scratch():
-    """One ``_close`` step against the closure recomputed by rank.
+@pytest.mark.parametrize("close", [_close, _closed_with], ids=["_close", "_closed_with"])
+def test_close_matches_closure_from_scratch(close):
+    """One closure step against the closure recomputed by rank.
 
-    The vectors are sparse, so many residuals are zero at the pivot of the
-    new row and take the path that keeps them unchanged.
+    ``_close`` serves the search and ``_closed_with`` the finiteness verdict
+    that the exit-3 cross-check compares with it.  The vectors are sparse,
+    so many residuals are zero at the pivot of the new row and take the
+    path that keeps them unchanged in ``_close``.
     """
     rng = random.Random(31)
     unchanged = 0
@@ -238,7 +242,7 @@ def test_close_matches_closure_from_scratch():
         other = sum(1 << e for e in outside if e != u and rng.random() < 0.3)
         pivot = next(j for j, x in enumerate(outside[u]) if x)
         unchanged += sum(1 for e, res in outside.items() if not res[pivot])
-        got = _close(sum(1 << i for i in side), outside, u, other)
+        got = close(sum(1 << i for i in side), outside, u, other)
         grown = _closure(vecs, side | {u})
         if any(other >> e & 1 for e in grown):
             assert got is None
