@@ -1,17 +1,29 @@
 """Certified witness subspaces for the achievable dimensions.
 
-For a valid partition into p blocks, a nested chain of covector spaces
-U_0 ⊆ ... ⊆ U_p is built so that Y = Z(U_p) is a projective subspace of
-dimension d = m + p: Y is not contained in the arrangement, and the
-restricted forms fall into exactly p projectively distinct classes that are
-linearly independent on Y.
+For a valid partition of the forms into blocks B_1, ..., B_p, a covector
+space U is built so that Y = Z(U) is a projective subspace of dimension
+d = m + p: Y is not contained in the arrangement, and the restricted forms
+fall into exactly p projectively distinct classes that are linearly
+independent on Y.
 
-Chain invariants, asserted after every step:
+Write V_j for the span of block j and V_-j for the span of the other
+forms.  The separation space W is the sum of the overlaps V_j ∩ V_-j, and
+no form lies in W.  Block j adds a hyperplane H_j of V_j that contains its
+overlap and misses every form of the block, and U = W + H_1 + ... + H_p.
+Adding the H_j one at a time is the chain U_0 = W ⊆ ... ⊆ U_p = U, whose
+step i extends U_{i-1} ∩ V_i; that meet is always the overlap V_i ∩ V_-i,
+so each block's step reads only its own overlap:
 
-1. U_{i-1} ⊆ U_i;
-2. dim(U_i ∩ B_i) = dim(B_i) - 1, where B_i is the span of block i;
-3. no form of the arrangement lies in U_i;
-4. U_i equals the sum over blocks j of U_i ∩ B_j.
+- W ⊆ V_-i: overlap i lies in V_-i, and overlap j ≠ i in V_j ⊆ V_-i;
+- each earlier H_k lies in V_k ⊆ V_-i, so U_{i-1} ⊆ V_-i;
+- V_i ∩ V_-i ⊆ W ⊆ U_{i-1}.
+
+Invariants, asserted once on U for every block j:
+
+1. W ⊆ U;
+2. U ∩ V_j is a hyperplane of V_j;
+3. no form of the arrangement lies in U;
+4. U equals the sum over blocks j of U ∩ V_j.
 
 Genericity (choosing hyperplanes or points that avoid finitely many bad
 loci) is realized deterministically by walking the integer moment curve
@@ -20,21 +32,18 @@ finitely many t, so the walk terminates and the output is reproducible.
 
 Arithmetic.  Everything here is integer; only ``make_witness`` takes
 rational point rows, and clears their denominators first.  The forms are
-the arrangement's primitive integer rows, and each U_i is a list of
-integer echelon rows of ``exact_linalg``: U_0 = W comes from one
-Zassenhaus intersection per block but the last, and the invariants are
-checked with integer residuals, ranks and block intersections.  Step i
-extends the block intersection U_{i-1} ∩ B_i that the check of U_{i-1}
-(for U_0, the sum giving W) already computed.  Where a result depends on
-the basis and not just on the space, the basis is canonical: the
-moment-curve walk in ``generic_avoiding_extension`` reads the ``int_rref``
-rows of U_{i-1} ∩ B_i and B_i, each a primitive integer multiple of a
-reduced row echelon row, and keeps the rational vectors it derives from
-them as an integer row over one positive denominator, so it picks the same
-t and the same kernel as exact rational elimination would.  The report
-prints the ``int_rref`` rows of Y, and the restrictions are integer dot
-products with them.  So every U_i is the same space, and the witness the
-same bytes, however U_i is stored.
+the arrangement's primitive integer rows, and W and U are integer echelon
+rows of ``exact_linalg``: the p overlaps are one Zassenhaus intersection
+each, and the invariants are checked with integer residuals, ranks and the
+p block meets U ∩ V_j.  Where a result depends on the basis and not just
+on the space, the basis is canonical: the moment-curve walk in
+``generic_avoiding_extension`` reads the ``int_rref`` rows of the overlap
+and of V_j, each a primitive integer multiple of a reduced row echelon
+row, and keeps the rational vectors it derives from them as an integer row
+over one positive denominator, so it picks the same t and the same kernel
+as exact rational elimination would.  The report prints the ``int_rref``
+rows of Y, and the restrictions are integer dot products with them.  So U
+is the same space, and the witness the same bytes, however U is stored.
 """
 
 from __future__ import annotations
@@ -58,19 +67,17 @@ from .exact_linalg import (
     primitive_vector,
 )
 
-_GENERIC_SEARCH_CAP = 10_000  # far beyond any reachable bad-value count
-
 
 @dataclass(frozen=True)
 class UChain:
-    """The nested covector spaces U_0 ⊆ ... ⊆ U_p for one valid partition.
+    """The covector space U = U_p for one valid partition.
 
-    ``rows`` holds each U_i as integer echelon rows.
+    ``rows`` holds U as integer echelon rows.
     """
 
     arrangement: Arrangement
     partition: Blocks
-    rows: tuple[IntRows, ...]
+    rows: IntRows
 
 
 @dataclass(frozen=True)
@@ -260,51 +267,15 @@ def generic_avoiding_extension(
     ]
 
 
-def _check_chain_step(
-    coeffs: Sequence[Sequence[int]],
-    block_rows: Sequence[IntRows],
-    u_prev: IntRows,
-    u_next: IntRows,
-    step: int,
-) -> list[IntRows]:
-    """Assert the four chain invariants (module docstring) for U_step.
-
-    Returns the block meets U_step ∩ B_j, which the next step reads.
-    """
-    width = len(coeffs[0])
-    _assert(
-        all(_in(u_next, b) for b in _plain(u_prev)),
-        f"chain step {step}: previous space not contained in the new one",
-    )
-    meets = [int_intersect(_plain(u_next), _plain(b), width) for b in block_rows]
-    _assert(
-        len(meets[step - 1]) == len(block_rows[step - 1]) - 1,
-        f"chain step {step}: block intersection is not a hyperplane of the block span",
-    )
-    _assert(
-        not any(_in(u_next, v) for v in coeffs),
-        f"chain step {step}: a form of the arrangement entered the chain space",
-    )
-    parts = [row for meet in meets for row in _plain(meet)]
-    _assert(
-        all(_in(u_next, v) for v in parts) and int_rank(parts) == len(u_next),
-        f"chain step {step}: space is not the sum of its block intersections",
-    )
-    return meets
-
-
 def block_overlaps(coeffs: Sequence[Sequence[int]], partition: Blocks) -> list[IntRows]:
-    """For each block but the last, span(block) ∩ span(other forms), as echelon rows.
+    """For each block, span(block) ∩ span(other forms), as echelon rows.
 
-    Their sum is the separation space W.  The last block's overlap adds
-    nothing: a vector in it is a sum of one vector per other block, and each
-    of those lies in its block and in the span of the forms outside it.
-    Every other block lies in the span of the forms outside a block, so W
-    does too, and each overlap is also W ∩ span(block), a block meet of U_0.
+    Their sum is the separation space W, and overlap j is the meet
+    U_{j-1} ∩ V_j that block j's step extends (module docstring).
     """
     width = len(coeffs[0])
     overlaps = []
-    for block in partition[:-1]:
+    for block in partition:
         others = set(range(len(coeffs))) - set(block)
         overlaps.append(
             int_intersect((coeffs[i] for i in block), (coeffs[i] for i in others), width)
@@ -312,48 +283,62 @@ def block_overlaps(coeffs: Sequence[Sequence[int]], partition: Blocks) -> list[I
     return overlaps
 
 
-def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
-    """Inductive construction of U_0 ⊆ ... ⊆ U_p for a valid partition.
+def _check_u(
+    coeffs: Sequence[Sequence[int]], block_rows: Sequence[IntRows], w: IntRows, u: IntRows
+) -> None:
+    """Assert the four invariants (module docstring) on U, for every block."""
+    width = len(coeffs[0])
+    _assert(all(_in(u, b) for b in _plain(w)), "separation space W not contained in U")
+    meets = [int_intersect(_plain(u), _plain(b), width) for b in block_rows]
+    for j, (meet, b) in enumerate(zip(meets, block_rows)):
+        _assert(
+            len(meet) == len(b) - 1,
+            f"block {j}: U ∩ span(block) is not a hyperplane of the block span",
+        )
+    _assert(not any(_in(u, v) for v in coeffs), "a form of the arrangement lies in U")
+    parts = [row for meet in meets for row in _plain(meet)]
+    _assert(
+        all(_in(u, v) for v in parts) and int_rank(parts) == len(u),
+        "U is not the sum of its block intersections",
+    )
 
-    U_0 is the separation space W; a partition with a form in W is rejected.
-    Each step extends U_{i-1} ∩ B_i to a hyperplane of the block span B_i
-    missing every form of the block, and adds it into the chain.  All chain
-    invariants are asserted after each step, and the final rank must equal
-    (n+1) - (d+1) with d = m + p; any failure is an internal error, since the
-    construction provably succeeds on valid partitions.
+
+def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
+    """U = W + H_1 + ... + H_p for a valid partition, one block step each.
+
+    W is the sum of the block overlaps; a partition with a form in W is
+    rejected.  Block j's step extends its overlap to a hyperplane H_j of the
+    block span V_j missing every form of the block, so the steps do not
+    depend on each other.  The four invariants are asserted once on U, and
+    its rank must equal (n+1) - (d+1) with d = m + p; any failure is an
+    internal error, since the construction provably succeeds on valid
+    partitions.
     """
     validate_partition(a, partition)
     coeffs = a.forms
-    meets = block_overlaps(coeffs, partition)
-    u = int_echelon(row for meet in meets for row in _plain(meet))
-    violating = next((i for i, v in enumerate(coeffs) if _in(u, v)), None)
+    overlaps = block_overlaps(coeffs, partition)
+    w = int_echelon(row for overlap in overlaps for row in _plain(overlap))
+    violating = next((i for i, v in enumerate(coeffs) if _in(w, v)), None)
     if violating is not None:
         raise ValueError(f"partition fails the separation criterion (form {violating})")
     block_rows = [int_rref(coeffs[i] for i in block) for block in partition]
-    chain = [u]
-    for i, block in enumerate(partition, start=1):
-        # The walk reads canonical bases, so U_i depends on the spaces alone.
-        # U_{i-1} holds the inside, so adding the kernel adds the hyperplane.
-        inside = int_rref(_plain(meets[i - 1]))
-        kernel = generic_avoiding_extension(
-            block_rows[i - 1], inside, [coeffs[idx] for idx in block]
-        )
-        u_next = int_echelon(_plain(u) + kernel)
-        meets = _check_chain_step(coeffs, block_rows, u, u_next, i)
-        chain.append(u_next)
-        u = u_next
+    # The walk reads canonical bases, so each H_j depends on the spaces alone.
+    # W holds each overlap, so adding the kernels adds the hyperplanes.
+    kernels: list[tuple[int, ...]] = []
+    for block, rows, overlap in zip(partition, block_rows, overlaps):
+        inside = int_rref(_plain(overlap))
+        kernels += generic_avoiding_extension(rows, inside, [coeffs[i] for i in block])
+    u = int_echelon(_plain(w) + kernels)
+    _check_u(coeffs, block_rows, w, u)
     d = a.m + len(partition)
-    _assert(
-        len(u) == a.n - d,
-        f"final chain space has rank {len(u)}, expected {a.n - d}",
-    )
-    return UChain(arrangement=a, partition=partition, rows=tuple(chain))
+    _assert(len(u) == a.n - d, f"U has rank {len(u)}, expected {a.n - d}")
+    return UChain(arrangement=a, partition=partition, rows=u)
 
 
 def witness_subspace(chain: UChain) -> WitnessSubspace:
-    """Y = zero set of the final chain space, verified."""
+    """Y = zero set of U, verified."""
     a = chain.arrangement
-    points = int_nullspace(_plain(chain.rows[-1]), a.n + 1)
+    points = int_nullspace(_plain(chain.rows), a.n + 1)
     w = _witness(a, _plain(points))
     d = a.m + len(chain.partition)
     _assert(w.dim == d, f"witness has dimension {w.dim}, expected {d}")
@@ -362,8 +347,13 @@ def witness_subspace(chain: UChain) -> WitnessSubspace:
 
 
 def _generic_point(covectors: Sequence[Sequence], dim: int) -> tuple[int, ...]:
-    """First moment-curve point of the given dimension off every covector."""
-    for t in range(_GENERIC_SEARCH_CAP):
+    """First moment-curve point of the given dimension off every covector.
+
+    A nonzero covector c vanishes at (1, t, ..., t^(dim-1)) only at the
+    roots of the polynomial sum c_k t^k, at most dim - 1 values of t, so
+    one of t = 0, ..., len(covectors) * (dim - 1) is off every nonzero one.
+    """
+    for t in range(len(covectors) * (dim - 1) + 1):
         pt = _moment_vector(dim, t)
         if all(sum(c * p for c, p in zip(cov, pt)) != 0 for cov in covectors):
             return pt

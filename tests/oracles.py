@@ -4,11 +4,12 @@
 the clopen tests compare the search's criteria against.
 ``generic_avoiding_extension`` and ``restrictions`` are the ``Fraction``
 moment-curve walk and witness restrictions, on canonical RREF bases, that
-the integer ones in ``hyparc.witness`` are checked against.  ``shrink_witness``
-and ``induced_partition`` are the constructive proof behind the report's
-``achievable`` list: every dimension below d_max has a verified witness, and
-a verified witness of dimension d > m + 1 induces a valid partition into
-d - m blocks.
+the integer ones in ``hyparc.witness`` are checked against, and
+``sequential_u_chain`` is the paper's chain of block steps built from them.
+``shrink_witness`` and ``induced_partition`` are the constructive proof
+behind the report's ``achievable`` list: every dimension below d_max has a
+verified witness, and a verified witness of dimension d > m + 1 induces a
+valid partition into d - m blocks.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hyparc.exact_linalg import (
     Vector,
     int_echelon,
     int_residual,
+    intersect,
     nullspace,
     reduce_against,
     span,
@@ -91,6 +93,25 @@ def generic_avoiding_extension(
             break
     kernel = [tuple(x - t**f * y for x, y in zip(ext[f], ext[0])) for f in range(1, len(ext))]
     return t, span(list(inside.basis) + kernel, container.ambient_dim)
+
+
+def sequential_u_chain(a: Arrangement, partition: Blocks) -> Subspace:
+    """U by the chain U_0 = W ⊆ ... ⊆ U_p, in ``Fraction``.
+
+    W is the sum of the overlaps span(block) ∩ span(other forms).  Step i
+    reads the meet U_{i-1} ∩ span(block i) off U_{i-1} itself and adds the
+    walk's hyperplane of the block span containing it and missing the block.
+    """
+    width = a.n + 1
+    forms = a.forms
+    blocks = [[forms[i] for i in block] for block in partition]
+    spans = [span(block, width) for block in blocks]
+    others = [span([f for f in forms if f not in block], width) for block in blocks]
+    u = span([b for v, o in zip(spans, others) for b in intersect(v, o).basis], width)
+    for block, v in zip(blocks, spans):
+        _, hyperplane = generic_avoiding_extension(v, intersect(u, v), block)
+        u = span(list(u.basis) + list(hyperplane.basis), width)
+    return u
 
 
 def restrictions(point_basis: Sequence[Vector], coeffs: Sequence[Sequence[int]]) -> list[Vector]:

@@ -1,4 +1,9 @@
-"""Witness construction: chain invariants, verification, shrinking."""
+"""Witness construction: the block steps, the invariants on U, verification, shrinking.
+
+U is checked against the ``Fraction`` oracles (``intersect``, ``contains``)
+for every block, and against the paper's sequential chain built in
+``Fraction`` (``oracles.sequential_u_chain``) on every valid partition.
+"""
 
 import random
 from fractions import Fraction
@@ -29,7 +34,7 @@ from hyparc.exact_linalg import (
     span,
 )
 from hyparc.witness import (
-    _check_chain_step,
+    _check_u,
     _generic_point,
     _restrictions,
     block_overlaps,
@@ -122,6 +127,18 @@ class TestGenericAvoidingExtension:
         assert span(kernel, 3) == span([(6, -3, 2)])
 
 
+class TestGenericPoint:
+    def test_last_t_of_the_bound_is_reached(self):
+        # (-s, 1) vanishes at t = s alone, so k of them rule out t = 0, ..., k - 1
+        # and the point is t = k = len(covectors) * (dim - 1).
+        assert _generic_point([(-s, 1) for s in range(4)], 2) == (1, 4)
+        assert _generic_point([(-s, 1, 0) for s in range(3)], 3) == (1, 3, 9)
+
+    def test_zero_covector_is_an_internal_error(self):
+        with pytest.raises(InternalError, match="no generic point"):
+            _generic_point([(1, 1), (0, 0)], 2)
+
+
 @st.composite
 def extension_inputs(draw):
     """Integer rows of a container, of a proper subspace inside it, and
@@ -174,38 +191,47 @@ def test_generic_avoiding_extension_on_random_inputs(case):
     assert not any(contains(v, x) for x in avoid)
 
 
-def chain_spaces(chain):
-    """The chain as canonical ``Fraction`` subspaces."""
-    return [span([row for _, row in u], chain.arrangement.n + 1) for u in chain.rows]
+def u_space(chain):
+    """U as a canonical ``Fraction`` subspace."""
+    return span([row for _, row in chain.rows], chain.arrangement.n + 1)
 
 
 def assert_chain_invariants(a, chain):
+    """The four invariants on U, by the ``Fraction`` oracles, for every block."""
+    width = a.n + 1
     vecs = a.forms
-    spans = [span([vecs[i] for i in b], a.n + 1) for b in chain.partition]
-    spaces = chain_spaces(chain)
-    for i, u in enumerate(spaces):
-        if i > 0:
-            assert all(contains(u, b) for b in spaces[i - 1].basis)
-            assert intersect(u, spans[i - 1]).rank == spans[i - 1].rank - 1
-        assert not any(contains(u, v) for v in vecs)
+    u = u_space(chain)
+    assert all(contains(u, b) for b in check_partition(a, chain.partition).w_space.basis)
+    meets = []
+    for b in chain.partition:
+        block_span = span([vecs[i] for i in b], width)
+        meets.append(intersect(u, block_span))
+        assert meets[-1].rank == block_span.rank - 1
+    assert not any(contains(u, v) for v in vecs)
+    assert span([row for meet in meets for row in meet.basis], width) == u
 
 
 class TestUChain:
     def test_four_lines_chain(self):
         chain = build_u_chain(FOUR_LINES, VALID_BIPARTITION)
-        spaces = chain_spaces(chain)
-        assert spaces[0] == span([(1, 1, 0)])
-        assert spaces[-1].rank == 1  # n - d = 2 - 1
+        # n - d = 2 - 1, so U is W = span{x0+x1}.
+        assert u_space(chain) == span([(1, 1, 0)])
         assert_chain_invariants(FOUR_LINES, chain)
 
     def test_independent_forms_singletons(self):
         a = load(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         chain = build_u_chain(a, ((0,), (1,), (2,), (3,)))
-        assert all(u == span([], 4) for u in chain_spaces(chain))
+        assert chain.rows == []
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
             build_u_chain(FOUR_LINES, ((0, 3), (1,), (2,)))
+
+    def test_rank_must_match_the_dimension(self):
+        a = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        a.__dict__["m"] = 0  # one above the true m = -1, so d = 2 and n - d = 0
+        with pytest.raises(InternalError, match="U has rank 1, expected 0"):
+            build_u_chain(a, VALID_BIPARTITION)
 
     def test_random_valid_partitions(self):
         rng = random.Random(13)
@@ -219,7 +245,7 @@ class TestUChain:
                 chain = build_u_chain(a, blocks)
                 assert_chain_invariants(a, chain)
                 d = compute_m(a) + len(blocks)
-                assert len(chain.rows[-1]) == a.n - d
+                assert len(chain.rows) == a.n - d
                 built += 1
                 break
 
@@ -259,8 +285,9 @@ def test_every_partition_matches_check_partition(a):
     for blocks in partitions_of(a):
         chk = check_partition(a, blocks)
         assert separation_space(coeffs, blocks, a.n + 1) == chk.w_space
-        # Each overlap is W ∩ span(block), the block meet build_u_chain starts from.
-        for b, meet in zip(blocks, block_overlaps(coeffs, blocks)):
+        # Each overlap, the last block's too, is W ∩ span(block), the meet
+        # that block's step extends.
+        for b, meet in zip(blocks, block_overlaps(coeffs, blocks), strict=True):
             block_span = span([coeffs[i] for i in b], a.n + 1)
             assert span([row for _, row in meet], a.n + 1) == intersect(chk.w_space, block_span)
         if not chk.valid:
@@ -268,40 +295,54 @@ def test_every_partition_matches_check_partition(a):
                 build_u_chain(a, blocks)
 
 
-class TestChainStepCheck:
-    """Each chain invariant is asserted: a wrong U_i fails its own check."""
+@settings(max_examples=15, deadline=None)
+@given(arrangements(max_r=6))
+def test_u_matches_the_sequential_fraction_chain(a):
+    for blocks in partitions_of(a):
+        if check_partition(a, blocks).valid:
+            assert u_space(build_u_chain(a, blocks)) == oracles.sequential_u_chain(a, blocks)
 
-    # e3, e2, e1, e0, e0+e1 after load's sorting; block (2, 3, 4) goes first,
-    # so U_1 is a line in span(e0, e1) and step 2 adds the block {e3}.
+
+class TestChainStepCheck:
+    """Each invariant is asserted on U: a wrong U fails its own check."""
+
+    # e3, e2, e1, e0, e0+e1 after load's sorting.  W = 0, and U is a line in
+    # span(e0, e1): the blocks {e3} and {e2} add nothing.
     A = load(3, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]])
     PARTITION = ((2, 3, 4), (0,), (1,))
 
-    def check_step_two(self, extra=None):
-        """Check U_2 = U_1 + extra, or U_2 = 0 without extra; the real U_2 passes."""
-        coeffs = self.A.forms
-        chain = build_u_chain(self.A, self.PARTITION)
-        block_rows = [int_echelon(coeffs[i] for i in b) for b in self.PARTITION]
-        u_1 = chain.rows[1]
-        assert len(u_1) == 1
-        _check_chain_step(coeffs, block_rows, u_1, chain.rows[2], 2)
-        u_2 = [] if extra is None else int_echelon([row for _, row in u_1] + [extra])
-        _check_chain_step(coeffs, block_rows, u_1, u_2, 2)
+    @staticmethod
+    def check(a, partition, u_vectors):
+        """Check U = span(u_vectors) for the partition; its real U passes."""
+        coeffs = a.forms
+        block_rows = [int_rref(coeffs[i] for i in b) for b in partition]
+        w = int_echelon(row for meet in block_overlaps(coeffs, partition) for _, row in meet)
+        _check_u(coeffs, block_rows, w, build_u_chain(a, partition).rows)
+        _check_u(coeffs, block_rows, w, int_echelon(u_vectors))
 
-    def test_previous_space_must_be_contained(self):
-        with pytest.raises(InternalError, match="previous space not contained"):
-            self.check_step_two()
+    def check_line_plus(self, extra):
+        """Check U = the real line of ``A`` plus ``extra``."""
+        line = [row for _, row in build_u_chain(self.A, self.PARTITION).rows]
+        assert len(line) == 1
+        self.check(self.A, self.PARTITION, line + [extra])
+
+    def test_separation_space_must_be_contained(self):
+        # W = span{x0+x1} for the four lines, and U = 0.
+        with pytest.raises(InternalError, match="separation space W not contained in U"):
+            self.check(FOUR_LINES, VALID_BIPARTITION, [])
 
     def test_block_meet_must_be_a_hyperplane(self):
-        with pytest.raises(InternalError, match="not a hyperplane"):
-            self.check_step_two((0, 0, 0, 1))
+        with pytest.raises(InternalError, match="block 1: .* not a hyperplane"):
+            self.check_line_plus((0, 0, 0, 1))
 
     def test_no_form_may_enter(self):
-        with pytest.raises(InternalError, match="a form of the arrangement entered"):
-            self.check_step_two((0, 0, 1, 0))
+        # U = span{e0} meets span(e0, e1) in a hyperplane, but holds form 3.
+        with pytest.raises(InternalError, match="a form of the arrangement lies in U"):
+            self.check(self.A, self.PARTITION, [(1, 0, 0, 0)])
 
     def test_space_must_be_the_sum_of_its_block_meets(self):
         with pytest.raises(InternalError, match="not the sum of its block intersections"):
-            self.check_step_two((0, 0, 1, 1))
+            self.check_line_plus((0, 0, 1, 1))
 
 
 class TestWitnessSubspace:
