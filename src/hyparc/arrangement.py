@@ -84,9 +84,10 @@ class ArrangementProfile:
     general_position: bool
 
 
-def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
+def load(n: int, raw_forms: Sequence[Sequence[int | Fraction]]) -> Arrangement:
     """Canonicalize, deduplicate and sort the input forms.
 
+    Coefficients must be ``int`` or ``Fraction``; ``load`` converts none.
     Forms are deduplicated by projective class (proportional forms collapse,
     with a warning) and sorted lexicographically on their canonical integer
     coefficients, so every downstream enumeration order is deterministic.
@@ -99,14 +100,14 @@ def load(n: int, raw_forms: Sequence[Sequence]) -> Arrangement:
     warnings: list[str] = []
     seen: dict[tuple[int, ...], int] = {}
     for idx, raw in enumerate(raw_forms):
-        coords = [Fraction(c) for c in raw]
-        if len(coords) != n + 1:
-            raise ArrangementError(
-                f"form {idx} has {len(coords)} coefficients, expected {n + 1}"
-            )
-        if all(c == 0 for c in coords):
+        if len(raw) != n + 1:
+            raise ArrangementError(f"form {idx} has {len(raw)} coefficients, expected {n + 1}")
+        for j, c in enumerate(raw):
+            if not isinstance(c, (int, Fraction)):
+                raise ArrangementError(f"form {idx}, entry {j}: {c!r} is not an int or Fraction")
+        if not any(raw):
             raise ArrangementError(f"form {idx} is the zero form")
-        form = primitive_vector(coords)
+        form = primitive_vector(raw)
         if form in seen:
             warnings.append(f"form {idx} is proportional to form {seen[form]}; deduplicated")
             continue

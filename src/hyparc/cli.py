@@ -47,11 +47,14 @@ def _reject_float(value: str):
     )
 
 
-def parse_input(text: str) -> tuple[int, list[list[Fraction]]]:
-    """Parse an input document into (n, exact coefficient rows)."""
+def parse_input(text: str) -> tuple[int, list[list[int | Fraction]]]:
+    """Parse an input document into (n, exact coefficient rows).
+
+    JSON integers stay ``int``; "p/q" strings become ``Fraction``.
+    """
     try:
         doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input document must be an object with 'n' and 'forms'")
@@ -64,7 +67,7 @@ def parse_input(text: str) -> tuple[int, list[list[Fraction]]]:
     raw_forms = doc["forms"]
     if not isinstance(raw_forms, list):
         raise InputError("'forms' must be a list of coefficient lists")
-    forms: list[list[Fraction]] = []
+    forms: list[list[int | Fraction]] = []
     for i, row in enumerate(raw_forms):
         if not isinstance(row, list):
             raise InputError(f"form {i} is not a list")
@@ -72,14 +75,13 @@ def parse_input(text: str) -> tuple[int, list[list[Fraction]]]:
         for j, entry in enumerate(row):
             if isinstance(entry, bool):
                 raise InputError(f"form {i}, entry {j}: booleans are not coefficients")
-            if isinstance(entry, int):
-                coords.append(Fraction(entry))
-            elif isinstance(entry, str) and _FRACTION_RE.fullmatch(entry):
-                coords.append(Fraction(entry))
-            else:
+            if isinstance(entry, str) and _FRACTION_RE.fullmatch(entry):
+                entry = Fraction(entry)
+            elif not isinstance(entry, int):
                 raise InputError(
                     f"form {i}, entry {j}: {entry!r} is not an integer or \"p/q\" fraction"
                 )
+            coords.append(entry)
         forms.append(coords)
     return n, forms
 
@@ -254,7 +256,7 @@ def generate_document(kind: str, n: int, r: int, seed: int = 0) -> dict:
             row = [rng.randint(-3, 3) for _ in range(n + 1)]
             if all(c == 0 for c in row):
                 continue
-            classes.setdefault(primitive_vector([Fraction(c) for c in row]), row)
+            classes.setdefault(primitive_vector(row), row)
         forms = list(classes.values())
     elif kind == "pencil":
         if n < 2 and r > 1:

@@ -6,7 +6,8 @@ Two representations, both exact; no floating point is used anywhere.
   questions (rank, span membership, flats) and carry the witness:
   ``int_intersect`` (Zassenhaus), ``int_nullspace`` and ``int_rref`` run on
   the same ``int_echelon``.  The forms are primitive integer vectors
-  already, so elimination is fraction-free: each ``int_residual`` step
+  already (``primitive_vector`` of ``int`` or ``Fraction`` rows), so
+  elimination is fraction-free: each ``int_residual`` step
   cross-multiplies and divides by the gcd, keeping every row a primitive
   integer vector.  ``int_rref`` rows are canonical: divided by their pivot
   entries they are the reduced row echelon basis.
@@ -48,18 +49,15 @@ def vector(coords: Iterable) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def primitive_vector(coords: Sequence) -> tuple[int, ...]:
+def primitive_vector(coords: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Canonical integer representative of a projective class.
 
-    Clears denominators (integer vectors have none), divides by the gcd,
-    and makes the first nonzero entry positive.  Raises on the zero vector
-    (it has no projective class).
+    Entries are ``int`` or ``Fraction``, which both have a ``numerator`` and
+    a ``denominator``: clears denominators, divides by the gcd, and makes
+    the first nonzero entry positive.  Raises on the zero vector.
     """
-    ints = list(coords)
-    if not all(type(c) is int for c in ints):
-        fracs = [Fraction(c) for c in ints]
-        denom_lcm = lcm(*(c.denominator for c in fracs))
-        ints = [c.numerator * (denom_lcm // c.denominator) for c in fracs]
+    denom_lcm = lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in coords]
     if not any(ints):
         raise ValueError("zero vector has no primitive representative")
     g = gcd(*ints)

@@ -30,8 +30,8 @@ loci) is realized deterministically by walking the integer moment curve
 (1, t, t^2, ...) for t = 0, 1, 2, ...; each constraint excludes only
 finitely many t, so the walk terminates and the output is reproducible.
 
-Arithmetic.  Everything here is integer; only ``make_witness`` takes
-rational point rows, and clears their denominators first.  The forms are
+Arithmetic.  Everything here is integer; every function takes integer
+rows, and rational input ends at ``arrangement.load``.  The forms are
 the arrangement's primitive integer rows, and W and U are integer echelon
 rows of ``exact_linalg``: the p overlaps are one Zassenhaus intersection
 each, and the invariants are checked with integer residuals, ranks and the
@@ -164,13 +164,6 @@ def _cond_check(restrictions: Sequence[Sequence[int]]) -> CondCheck:
         classes=classes,
         diagnostics="" if independent else "restriction classes are dependent",
     )
-
-
-def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
-    """Verify the span of exact rational point rows as a witness."""
-    if any(len(row) != a.n + 1 for row in point_rows):
-        raise DimensionMismatchError(f"point row not of length {a.n + 1}")
-    return _witness(a, [primitive_vector(row) for row in point_rows if any(row)])
 
 
 def _witness(a: Arrangement, point_rows: Sequence[Sequence[int]]) -> WitnessSubspace:

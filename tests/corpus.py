@@ -1,7 +1,6 @@
 """Shared random-corpus helpers for the test suite."""
 
 import gc
-from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -15,7 +14,7 @@ def random_arrangement(rng, n: int, r: int) -> Arrangement:
     while len(classes) < r:
         row = [rng.randint(-3, 3) for _ in range(n + 1)]
         if any(row):
-            classes.setdefault(primitive_vector([Fraction(c) for c in row]), row)
+            classes.setdefault(primitive_vector(row), row)
     return load(n, list(classes.values()))
 
 

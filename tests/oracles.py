@@ -6,6 +6,7 @@ the clopen tests compare the search's criteria against.
 moment-curve walk and witness restrictions, on canonical RREF bases, that
 the integer ones in ``hyparc.witness`` are checked against, and
 ``sequential_u_chain`` is the paper's chain of block steps built from them.
+``make_witness`` verifies the span of rational point rows as a witness.
 ``shrink_witness`` and ``induced_partition`` are the constructive proof
 behind the report's ``achievable`` list: every dimension below d_max has a
 verified witness, and a verified witness of dimension d > m + 1 induces a
@@ -27,11 +28,12 @@ from hyparc.exact_linalg import (
     int_residual,
     intersect,
     nullspace,
+    primitive_vector,
     reduce_against,
     span,
     vector,
 )
-from hyparc.witness import WitnessSubspace, _generic_point, make_witness
+from hyparc.witness import WitnessSubspace, _generic_point, _witness
 
 
 def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
@@ -45,6 +47,13 @@ def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
     return all(
         any(int_residual(rows, v)) for i, v in enumerate(vectors) if i not in inside
     )
+
+
+def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:
+    """Verify the span of exact rational point rows as a witness."""
+    if any(len(row) != a.n + 1 for row in point_rows):
+        raise DimensionMismatchError(f"point row not of length {a.n + 1}")
+    return _witness(a, [primitive_vector(row) for row in point_rows if any(row)])
 
 
 def quotient_basis(container: Subspace, inside: Subspace) -> list[Vector]:

@@ -21,12 +21,11 @@ from hyparc.exact_linalg import intersect, nullspace, span
 from hyparc.witness import (
     build_u_chain,
     build_witness_for_mplus1,
-    make_witness,
     witness_subspace,
 )
 
 from .corpus import moment_curve_arrangement, random_arrangement
-from .oracles import induced_partition
+from .oracles import induced_partition, make_witness
 
 
 def _report(criterion, ok, detail=""):

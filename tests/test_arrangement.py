@@ -1,6 +1,7 @@
 """Arrangement loading, canonicalization, and profiling."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -46,8 +47,13 @@ class TestLoad:
             load(2, [[0, 0, 0]])
 
     def test_fraction_canonicalization(self):
-        a = load(2, [["1/2", 0, 0]])
+        a = load(2, [[Fraction(1, 2), 0, 0]])
         assert a.forms[0] == (1, 0, 0)
+
+    @pytest.mark.parametrize("entry", [0.5, "1/2"], ids=["float", "str"])
+    def test_non_exact_coefficient_rejected(self, entry):
+        with pytest.raises(ArrangementError, match=r"form 1, entry 2: .* is not an int or Fraction"):
+            load(2, [[1, 0, 0], [0, 1, entry]])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ArrangementError, match="empty"):
@@ -78,7 +84,7 @@ class TestComputeM:
 
     def test_rescaling_invariance(self):
         a = load(2, [[1, 1, 0], [0, 1, 1]])
-        b = load(2, [["-3/2", "-3/2", 0], [0, 7, 7]])
+        b = load(2, [[Fraction(-3, 2), Fraction(-3, 2), 0], [0, 7, 7]])
         assert compute_m(a) == compute_m(b)
         assert a.forms == b.forms
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from click.testing import CliRunner
 from hyparc import arrangement, cli
 from hyparc.arrangement import load
 from hyparc.exact_linalg import DimensionMismatchError
-from hyparc.witness import make_witness
+
+from .oracles import make_witness
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,6 +34,8 @@ class TestParseInput:
         n, forms = cli.parse_input('{"n": 2, "forms": [["1/2", 0, 0], [0, -3, 1]]}')
         assert n == 2
         assert forms[0][0] == 0.5  # exact Fraction(1, 2)
+        # JSON integers stay int; only "p/q" strings become Fraction.
+        assert [[type(c) for c in row] for row in forms] == [[Fraction, int, int], [int, int, int]]
 
     def test_float_rejected(self):
         with pytest.raises(cli.InputError, match="p/q"):
@@ -155,6 +159,12 @@ class TestAnalyze:
         result = runner.invoke(cli.main, ["analyze", "-"], input=doc)
         assert result.exit_code == 1
         assert result.stderr.startswith("input error: ")
+
+    def test_deeply_nested_json_is_an_input_error(self, runner):
+        result = runner.invoke(cli.main, ["analyze", "-"], input="[" * 100_000 + "]" * 100_000)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("input error: invalid JSON: maximum recursion depth")
+        assert result.stderr.count("\n") == 1  # one line, no traceback
 
     def test_input_error_exit_code(self, runner):
         result = runner.invoke(

@@ -1,6 +1,7 @@
 """Partition criterion checks and the lattice search for maximal parts."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -104,7 +105,7 @@ class TestCheckPartition:
                 break
 
     def test_scaling_invariance(self):
-        scaled = load(2, [[3, 0, 0], [0, "-1/2", 0], [0, 0, 5], [-2, -2, -2]])
+        scaled = load(2, [[3, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, 5], [-2, -2, -2]])
         assert scaled.forms == FOUR_LINES.forms
         chk = check_partition(scaled, ((0, 3), (1, 2)))
         assert chk.valid and chk.w_space == span([(1, 1, 0)])

@@ -178,6 +178,23 @@ class TestPrimitiveVector:
             primitive_vector([Fraction(0), Fraction(0)])
 
 
+nonzero_rows = st.lists(small_entries, min_size=1, max_size=6).filter(any)
+nonzero_rationals = st.fractions(max_denominator=12).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_rows, nonzero_rationals)
+def test_primitive_vector_sees_only_the_projective_class(row, q):
+    """An int row, the same row as Fractions, and any nonzero rational
+    multiple of it give the same primitive vector."""
+    expected = primitive_vector(row)
+    assert primitive_vector([Fraction(c) for c in row]) == expected
+    assert primitive_vector([q * c for c in row]) == expected
+    k = next(i for i, c in enumerate(row) if c)
+    assert all(e * row[k] == c * expected[k] for e, c in zip(expected, row))
+    assert gcd(*expected) == 1 and expected[k] > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrix_strategy(4))
 def test_canonical_form_uniqueness(rows):

@@ -41,7 +41,6 @@ from hyparc.witness import (
     build_u_chain,
     build_witness_for_mplus1,
     generic_avoiding_extension,
-    make_witness,
     witness_subspace,
 )
 
@@ -51,7 +50,7 @@ from .corpus import (
     random_arrangement,
     sparse_arrangements,
 )
-from .oracles import induced_partition, is_flat, shrink_witness
+from .oracles import induced_partition, is_flat, make_witness, shrink_witness
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 VALID_BIPARTITION = ((0, 3), (1, 2))  # {x2, x0+x1+x2} vs {x1, x0}
