@@ -87,7 +87,8 @@ class ArrangementProfile:
 def load(n: int, raw_forms: Sequence[Sequence[int | Fraction]]) -> Arrangement:
     """Canonicalize, deduplicate and sort the input forms.
 
-    Coefficients must be ``int`` or ``Fraction``; ``load`` converts none.
+    Coefficients must be ``int`` (not ``bool``) or ``Fraction``; ``load``
+    converts none.
     Forms are deduplicated by projective class (proportional forms collapse,
     with a warning) and sorted lexicographically on their canonical integer
     coefficients, so every downstream enumeration order is deterministic.
@@ -103,7 +104,7 @@ def load(n: int, raw_forms: Sequence[Sequence[int | Fraction]]) -> Arrangement:
         if len(raw) != n + 1:
             raise ArrangementError(f"form {idx} has {len(raw)} coefficients, expected {n + 1}")
         for j, c in enumerate(raw):
-            if not isinstance(c, (int, Fraction)):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise ArrangementError(f"form {idx}, entry {j}: {c!r} is not an int or Fraction")
         if not any(raw):
             raise ArrangementError(f"form {idx} is the zero form")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import sys
 import time
 from fractions import Fraction
@@ -78,8 +79,11 @@ def parse_input(text: str) -> tuple[int, list[list[int | Fraction]]]:
             if isinstance(entry, str) and _FRACTION_RE.fullmatch(entry):
                 entry = Fraction(entry)
             elif not isinstance(entry, int):
+                shown = reprlib.repr(entry)  # the entry may be a JSON value of any size
+                if len(shown) > 60:
+                    shown = shown[:57] + "..."
                 raise InputError(
-                    f"form {i}, entry {j}: {entry!r} is not an integer or \"p/q\" fraction"
+                    f"form {i}, entry {j}: {shown} is not an integer or \"p/q\" fraction"
                 )
             coords.append(entry)
         forms.append(coords)

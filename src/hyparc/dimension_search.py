@@ -59,28 +59,41 @@ Search, per component.  The components come from one fraction-free
 elimination of the rows [v_i | e_i] in form order.  A form whose residual
 keeps a pivot in the left half joins the greedy basis; for any other form
 the right half writes it as a combination of basis forms, and its support
-is the form's fundamental circuit.  The clopen sets come from a two-sided
-closure search: the lowest undecided form joins one side or the other, that
-side is closed with the integer kernel, and a branch dies when the two
-closures meet.  The maximum partition is then an exact cover by clopen
-sets, memoised on the set of uncovered forms: the lowest uncovered form
-opens the next block, so its candidates are the clopen sets with that least
-form.  Candidates that cannot reach the best count are pruned by an upper
-bound on the blocks of a cover of the forms left: the sum of 1/size(i),
-where size(i) is the size of the smallest clopen set holding form i
-(``_max_cover`` proves it).  In general position with n + 1 < r <= 2n a
-flat other than E has at most n forms, so the clopen sets other than E are
-the sets of r - n to n forms, the bound is r / (r - n), and its floor is
-already the largest number of blocks.  Ties are decided on the RGS, so the
-cover found is the lexicographically least maximum one, the same witness
-the exhaustive oracle returns.
+is the form's fundamental circuit.  The maximum partition is an exact
+cover by clopen sets, memoised on the set U of uncovered forms: the lowest
+uncovered form f opens the next block, so its candidates are the clopen
+sets A with f in A ⊆ U.  A two-sided closure search yields them on demand:
+the lowest undecided form joins side A, then side B, that side is closed
+with the integer kernel, and a branch dies when the two closures meet.
+Side A starts as cl{f} and side B as cl(E∖U).  That loses no candidate:
+the complement of a clopen A ⊆ U is a flat that holds E∖U, so it holds
+cl(E∖U).  Candidates that cannot reach the best count are pruned by an
+upper bound on the blocks of a cover of the forms left: the sum of 1/c(i),
+where c(i) is the size of the smallest cocircuit holding form i.  A
+cocircuit is the complement of a hyperplane, so c(i) is r minus the
+largest flat other than E that avoids i, and a clopen set S other than E
+that holds i has such a flat as its complement, so |S| >= c(i)
+(``_max_cover`` proves the bound).  Side A only grows, so the closure
+search drops a branch as soon as its side A is too heavy for the bound.  A
+cover has weight at least 1 per block, so while a candidate must leave
+room for one block or none, the bound can only skip forms that have no
+cover at all, which the search for their cover finds out by itself.  A
+component computes c the first time a candidate must leave room for two
+blocks or more; one with no clopen set besides E never does.  In general
+position with n + 1 < r <= 2n a flat other than E has at most n forms, so
+c(i) = r - n, the clopen sets other than E are the sets of r - n to n
+forms, the bound is r / (r - n), and its floor is already the largest
+number of blocks.  Ties are decided on the RGS, so the cover found is the
+lexicographically least maximum one, the same witness the exhaustive
+oracle returns.  The search reads neither s nor the verdicts, so the
+exit-3 cross-check that compares them with it stays independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .arrangement import Arrangement, refuse_above_scan_limit
 from .exact_linalg import (
@@ -88,6 +101,7 @@ from .exact_linalg import (
     InternalError,
     Subspace,
     contains,
+    int_rank,
     int_residual,
     intersect,
     span,
@@ -274,91 +288,157 @@ def _close(side: Mask, outside: dict[int, Sequence[int]], u: int, other: Mask):
     return side, still_outside
 
 
-def _clopen_sets(vecs: list[tuple[int, ...]]) -> list[Mask]:
-    """Every nonempty clopen set of the vectors' matroid, as bitmasks.
+def _splits(
+    full: Mask, a: Mask, a_out: dict, b: Mask, b_out: dict, keep: Callable[[Mask], bool]
+) -> Iterator[Mask]:
+    """Side A of every split of ``full`` into two flats around the seeds.
 
-    Two-sided closure search: the lowest undecided form joins one side or
-    the other, the side is closed again, and a branch dies when the two
-    closures meet.  Form 0 starts on the first side, so each clopen pair
-    {S, complement} is reached once.
+    Two-sided closure search: the lowest undecided form joins side A, then
+    side B, that side is closed again, and a branch dies when the two
+    closures meet or when ``keep`` rejects side A.  Sides only grow, so a
+    rejected A rejects its whole branch as long as ``keep`` only tightens.
+    Trying A first yields the sides A in decreasing order of their
+    indicator strings read from form 0.
     """
-    full = (1 << len(vecs)) - 1
-    found: list[Mask] = []
+    if not keep(a):
+        return
+    undecided = full & ~(a | b)
+    if not undecided:
+        yield a
+        return
+    u = _low(undecided)
+    grown = _close(a, a_out, u, b)
+    if grown:
+        yield from _splits(full, *grown, b, b_out, keep)
+    grown = _close(b, b_out, u, a)
+    if grown:
+        yield from _splits(full, a, a_out, *grown, keep)
 
-    def dfs(a: Mask, a_out: dict, b: Mask, b_out: dict) -> None:
-        undecided = full & ~(a | b)
+
+def _smallest_cocircuits(vecs: list[tuple[int, ...]]) -> list[int]:
+    """For each form i, the size of the smallest cocircuit that holds it.
+
+    A cocircuit is the complement of a hyperplane, so the smallest one
+    through i is r minus the largest hyperplane that avoids i.  The search
+    lists flats two ranks below the whole set: the lowest undecided form is
+    taken into the flat, which is closed again, or skipped, and a branch
+    dies when the closure takes in a skipped form.  Each take raises the
+    rank by one.  Over such a flat F the forms outside reduce to a plane,
+    so the hyperplanes through F are F plus one projective class of those
+    residuals each.  A branch stops once no hyperplane in it, which avoids
+    every skipped form, can be larger than the largest already found for
+    every form outside F.
+    """
+    k = len(vecs)
+    full = (1 << k) - 1
+    coline = int_rank(vecs) - 2
+    zero = (0,) * len(vecs[0])
+    largest = [0] * k
+
+    def dfs(flat: Mask, outside: dict, skipped: Mask, rank: int) -> None:
+        size = flat.bit_count()
+        undecided = full & ~(flat | skipped)
+        reach = size + undecided.bit_count()
+        if all(largest[i] >= reach for i in outside):
+            return
+        if rank == coline:
+            classes: dict[tuple[int, ...], Mask] = {}
+            for e, res in outside.items():  # residuals are primitive up to sign
+                key = tuple(res)
+                if key < zero:
+                    key = tuple(-x for x in key)
+                classes[key] = classes.get(key, 0) | 1 << e
+            # the residuals span the plane, so there are two classes or more
+            first, second = sorted(classes.values(), key=int.bit_count)[:-3:-1]
+            for i in outside:
+                other = second if first >> i & 1 else first
+                largest[i] = max(largest[i], size + other.bit_count())
+            return
         if not undecided:
-            found.extend(s for s in (a, b) if s)
             return
         u = _low(undecided)
-        grown = _close(a, a_out, u, b)
+        grown = _close(flat, outside, u, skipped)
         if grown:
-            dfs(*grown, b, b_out)
-        grown = _close(b, b_out, u, a)
-        if grown:
-            dfs(a, a_out, *grown)
+            dfs(*grown, skipped, rank + 1)
+        dfs(flat, outside, skipped | 1 << u, rank)
 
-    nothing = dict(enumerate(vecs))
-    dfs(*_close(0, nothing, 0, 0), 0, nothing)
+    dfs(0, dict(enumerate(vecs)), 0, 0)
     del dfs  # break the function <-> cell cycle, so no garbage is left for gc
-    return found
+    return [k - f for f in largest]
 
 
 def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
     """RGS of the lexicographically least partition into most clopen sets.
 
-    Exact cover memoised on the uncovered forms: the lowest uncovered form
-    opens the next block, so its candidates are the clopen sets with that
-    least form, tried in the order of their best possible RGS.  A candidate
-    is skipped when the forms it leaves cannot be covered by enough blocks
-    to beat the best cover so far, or to tie it with a smaller RGS.
+    Exact cover memoised on the uncovered forms U: the lowest uncovered form
+    f opens the next block, so its candidates are the clopen sets A with
+    f in A ⊆ U.  They come from ``_splits`` seeded with A = cl{f} and
+    B = cl(E∖U), which loses none: the complement of such an A is a flat
+    that holds E∖U, so it holds cl(E∖U).  They arrive in the order of their
+    best possible RGS (labels 0 on A, 1 elsewhere).  A candidate is skipped
+    when the forms it leaves cannot be covered by enough blocks to beat the
+    best cover so far, or to tie it with a smaller RGS.
 
-    Size bound.  Let size(i) be the size of the smallest clopen set that
-    holds form i.  A block B holds only forms with size(i) <= |B|, so
-    sum over i in B of 1/size(i) >= 1, and a cover of a set U has at most
-    sum over i in U of 1/size(i) blocks.  The sum is kept in integers, with
-    weight lcm/size(i) for form i.
+    Weight bound.  Let c(i) be the size of the smallest cocircuit that holds
+    form i (``_smallest_cocircuits``).  A clopen set S other than E that
+    holds i has a complement that is a flat other than E avoiding i, so
+    |S| >= c(i), and |E| = r >= c(i).  A block B holds only forms with
+    c(i) <= |B|, so sum over i in B of 1/c(i) >= 1, and a cover of a set U
+    has at most sum over i in U of 1/c(i) blocks.  The sum is kept in
+    integers, with weight lcm/c(i) for form i.  A candidate A leaves room
+    for ``want`` more blocks only if weight(A) + want * lcm <= weight(U),
+    and A only grows in the search, so the test prunes the search itself.
+    While ``want`` is 1 or less the test can only skip forms that have no
+    cover at all, which ``solve`` finds out by itself, so c is computed the
+    first time ``want`` reaches 2.  A component with no clopen set besides
+    E never gets there.
     """
     k = len(vecs)
-    clopen = _clopen_sets(vecs)
-    by_size: dict[int, Mask] = {}  # size(i) -> the forms i with that size
-    unsized = (1 << k) - 1
-    for s in sorted(clopen, key=int.bit_count):  # E itself is clopen
-        if s & unsized:
-            by_size[s.bit_count()] = by_size.get(s.bit_count(), 0) | s & unsized
-            unsized &= ~s
-    scale = lcm(*by_size)
-    starting: dict[int, list[Mask]] = {}
-    # by the least RGS a first block s allows: labels 0 on s, 1 elsewhere
-    for s in sorted(clopen, key=lambda s: format(s, "b").zfill(k)[::-1], reverse=True):
-        starting.setdefault(_low(s), []).append(s)
+    nothing = dict(enumerate(vecs))
+    by_bound: dict[int, Mask] = {}  # c(i) -> the forms i with that bound, once known
+    scale = 1
     best: dict[Mask, tuple[int, tuple[int, ...]]] = {0: (0, ())}
 
-    def reaches(mask: Mask, blocks: int) -> bool:
-        """False when no cover of ``mask`` has ``blocks`` blocks or more."""
-        weight = sum(scale // c * (mask & m).bit_count() for c, m in by_size.items())
-        return weight >= blocks * scale
+    def weight(mask: Mask) -> int:
+        return sum(scale // c * (mask & m).bit_count() for c, m in by_bound.items())
 
     def solve(uncovered: Mask, need: int) -> Optional[tuple[int, tuple[int, ...]]]:
         """(blocks, RGS) of the best cover if it has at least ``need`` blocks."""
+        nonlocal scale
         hit = best.get(uncovered)
         if hit is not None:
             return hit if hit[0] >= need else None
         forms = [i for i in range(k) if uncovered >> i & 1]
+        b, b_out = 0, nothing
+        for e in range(k):
+            if not (uncovered | b) >> e & 1:
+                b, b_out = _close(b, b_out, e, 0)
+        seed = None if b >> forms[0] & 1 else _close(0, nothing, forms[0], b)
+        if seed is None:
+            return None
         top = None
-        for s in starting.get(forms[0], ()):
-            if s & ~uncovered:
-                continue
+        floor = need - 1  # blocks every later candidate must leave room for
+
+        def keep(a: Mask) -> bool:
+            return not by_bound or weight(a) + floor * scale <= weight(uncovered)
+
+        for s in _splits((1 << k) - 1, *seed, b, b_out, keep):
             rest = uncovered & ~s
             # blocks the rest must reach: as many as the best cover so far
             # has after its first block, one more when a first block s
-            # cannot give a smaller RGS (labels 0 on s, 1 elsewhere)
+            # cannot give a smaller RGS (labels 0 on s, 1 elsewhere); a
+            # later candidate needs no fewer
             want = need - 1
             if top is not None:
                 want = top[0] - 1 + (
                     tuple(0 if s >> i & 1 else 1 for i in forms) >= top[1]
                 )
-            if not reaches(rest, want):
+            floor = want
+            if want > 1 and not by_bound:
+                for i, c in enumerate(_smallest_cocircuits(vecs)):
+                    by_bound[c] = by_bound.get(c, 0) | 1 << i
+                scale = lcm(*by_bound)
+            if by_bound and weight(rest) < want * scale:
                 continue
             sub = solve(rest, want)
             if sub is None:
@@ -367,6 +447,7 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
             rgs = tuple(0 if s >> i & 1 else 1 + next(labels) for i in forms)
             if top is None or (-1 - sub[0], rgs) < (-top[0], top[1]):
                 top = (1 + sub[0], rgs)
+                floor = top[0] - 1
         if top is not None:
             best[uncovered] = top
         return top

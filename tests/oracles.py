@@ -1,7 +1,11 @@
 """Test oracles that ``analyze`` never runs.
 
 ``is_flat`` is the plain definition of a flat of the forms' matroid, which
-the clopen tests compare the search's criteria against.
+the clopen tests compare the search's criteria against.  ``clopen_sets``
+lists every clopen set of a component, and ``eager_max_cover`` runs the
+exact cover over that list with the exact sizes of the smallest clopen
+sets as its bound: the on-demand cover in ``hyparc.dimension_search`` is
+checked against both.
 ``generic_avoiding_extension`` and ``restrictions`` are the ``Fraction``
 moment-curve walk and witness restrictions, on canonical RREF bases, that
 the integer ones in ``hyparc.witness`` are checked against, and
@@ -19,7 +23,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from hyparc.arrangement import Arrangement
-from hyparc.dimension_search import Blocks
+from hyparc.dimension_search import Blocks, Mask, _close, _low
 from hyparc.exact_linalg import (
     DimensionMismatchError,
     Subspace,
@@ -47,6 +51,108 @@ def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
     return all(
         any(int_residual(rows, v)) for i, v in enumerate(vectors) if i not in inside
     )
+
+
+def clopen_sets(vecs: list[tuple[int, ...]]) -> list[Mask]:
+    """Every nonempty clopen set of the vectors' matroid, as bitmasks.
+
+    Two-sided closure search: the lowest undecided form joins one side or
+    the other, the side is closed again, and a branch dies when the two
+    closures meet.  Form 0 starts on the first side, so each clopen pair
+    {S, complement} is reached once.
+    """
+    full = (1 << len(vecs)) - 1
+    found: list[Mask] = []
+
+    def dfs(a: Mask, a_out: dict, b: Mask, b_out: dict) -> None:
+        undecided = full & ~(a | b)
+        if not undecided:
+            found.extend(s for s in (a, b) if s)
+            return
+        u = _low(undecided)
+        grown = _close(a, a_out, u, b)
+        if grown:
+            dfs(*grown, b, b_out)
+        grown = _close(b, b_out, u, a)
+        if grown:
+            dfs(a, a_out, *grown)
+
+    nothing = dict(enumerate(vecs))
+    dfs(*_close(0, nothing, 0, 0), 0, nothing)
+    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
+    return found
+
+
+def eager_max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """RGS of the lexicographically least partition into most clopen sets.
+
+    Exact cover memoised on the uncovered forms: the lowest uncovered form
+    opens the next block, so its candidates are the clopen sets with that
+    least form, tried in the order of their best possible RGS.  A candidate
+    is skipped when the forms it leaves cannot be covered by enough blocks
+    to beat the best cover so far, or to tie it with a smaller RGS.
+
+    Size bound.  Let size(i) be the size of the smallest clopen set that
+    holds form i.  A block B holds only forms with size(i) <= |B|, so
+    sum over i in B of 1/size(i) >= 1, and a cover of a set U has at most
+    sum over i in U of 1/size(i) blocks.  The sum is kept in integers, with
+    weight lcm/size(i) for form i.
+    """
+    k = len(vecs)
+    clopen = clopen_sets(vecs)
+    by_size: dict[int, Mask] = {}  # size(i) -> the forms i with that size
+    unsized = (1 << k) - 1
+    for s in sorted(clopen, key=int.bit_count):  # E itself is clopen
+        if s & unsized:
+            by_size[s.bit_count()] = by_size.get(s.bit_count(), 0) | s & unsized
+            unsized &= ~s
+    scale = lcm(*by_size)
+    starting: dict[int, list[Mask]] = {}
+    # by the least RGS a first block s allows: labels 0 on s, 1 elsewhere
+    for s in sorted(clopen, key=lambda s: format(s, "b").zfill(k)[::-1], reverse=True):
+        starting.setdefault(_low(s), []).append(s)
+    best: dict[Mask, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+
+    def reaches(mask: Mask, blocks: int) -> bool:
+        """False when no cover of ``mask`` has ``blocks`` blocks or more."""
+        weight = sum(scale // c * (mask & m).bit_count() for c, m in by_size.items())
+        return weight >= blocks * scale
+
+    def solve(uncovered: Mask, need: int) -> Optional[tuple[int, tuple[int, ...]]]:
+        """(blocks, RGS) of the best cover if it has at least ``need`` blocks."""
+        hit = best.get(uncovered)
+        if hit is not None:
+            return hit if hit[0] >= need else None
+        forms = [i for i in range(k) if uncovered >> i & 1]
+        top = None
+        for s in starting.get(forms[0], ()):
+            if s & ~uncovered:
+                continue
+            rest = uncovered & ~s
+            # blocks the rest must reach: as many as the best cover so far
+            # has after its first block, one more when a first block s
+            # cannot give a smaller RGS (labels 0 on s, 1 elsewhere)
+            want = need - 1
+            if top is not None:
+                want = top[0] - 1 + (
+                    tuple(0 if s >> i & 1 else 1 for i in forms) >= top[1]
+                )
+            if not reaches(rest, want):
+                continue
+            sub = solve(rest, want)
+            if sub is None:
+                continue
+            labels = iter(sub[1])
+            rgs = tuple(0 if s >> i & 1 else 1 + next(labels) for i in forms)
+            if top is None or (-1 - sub[0], rgs) < (-top[0], top[1]):
+                top = (1 + sub[0], rgs)
+        if top is not None:
+            best[uncovered] = top
+        return top
+
+    rgs = solve((1 << k) - 1, 1)[1]
+    del solve  # break the function <-> cell cycle, so no garbage is left for gc
+    return rgs
 
 
 def make_witness(a: Arrangement, point_rows: Sequence[Sequence]) -> WitnessSubspace:

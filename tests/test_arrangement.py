@@ -50,7 +50,7 @@ class TestLoad:
         a = load(2, [[Fraction(1, 2), 0, 0]])
         assert a.forms[0] == (1, 0, 0)
 
-    @pytest.mark.parametrize("entry", [0.5, "1/2"], ids=["float", "str"])
+    @pytest.mark.parametrize("entry", [0.5, "1/2", True], ids=["float", "str", "bool"])
     def test_non_exact_coefficient_rejected(self, entry):
         with pytest.raises(ArrangementError, match=r"form 1, entry 2: .* is not an int or Fraction"):
             load(2, [[1, 0, 0], [0, 1, entry]])

@@ -166,6 +166,13 @@ class TestAnalyze:
         assert result.stderr.startswith("input error: invalid JSON: maximum recursion depth")
         assert result.stderr.count("\n") == 1  # one line, no traceback
 
+    def test_huge_rejected_entry_gives_a_short_input_error(self, runner):
+        doc = json.dumps({"n": 1, "forms": [[list(range(100_000)), 1], [0, 1]]})
+        result = runner.invoke(cli.main, ["analyze", "-"], input=doc)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("input error: form 0, entry 0: [0, 1, 2")
+        assert result.stderr.count("\n") == 1 and len(result.stderr) < 200
+
     def test_input_error_exit_code(self, runner):
         result = runner.invoke(
             cli.main, ["analyze", "-"], input='{"n": 2, "forms": [[0, 0, 0]]}'

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyparc import cli
+from hyparc import cli, dimension_search
 from hyparc.arrangement import (
     BIPARTITION_SCAN_LIMIT,
     RefusedError,
@@ -20,6 +20,8 @@ from hyparc.dimension_search import (
     SpanCache,
     _close,
     _components,
+    _max_cover,
+    _smallest_cocircuits,
     achievable_dimensions,
     blocks_of,
     brute_force_max_parts,
@@ -37,7 +39,7 @@ from .corpus import (
     random_arrangement,
     sparse_arrangements,
 )
-from .oracles import is_flat
+from .oracles import clopen_sets, eager_max_cover, is_flat
 
 FOUR_LINES = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
 # canonical order: 0:(0,0,1)  1:(0,1,0)  2:(1,0,0)  3:(1,1,1)
@@ -391,9 +393,63 @@ class TestAchievableDimensions:
             assert rep.achievable == tuple(range(rep.d_max + 1))
 
 
+def _component_vectors(a):
+    for comp in _components(a.forms):
+        yield [a.forms[i] for i in range(a.r) if comp >> i & 1]
+
+
+def _brute_smallest_cocircuits(vecs):
+    """Oracle: r minus the largest flat other than E avoiding each form."""
+    k = len(vecs)
+    flats = [m for m in range((1 << k) - 1)
+             if is_flat(vecs, [j for j in range(k) if m >> j & 1])]
+    return [k - max(m.bit_count() for m in flats if not m >> i & 1) for i in range(k)]
+
+
+def _check_cover_and_bound(vecs):
+    """The cover against the eager one, and c(i) against the clopen sizes."""
+    assert _max_cover(vecs) == eager_max_cover(vecs)
+    bound = _smallest_cocircuits(vecs)
+    clopen = clopen_sets(vecs)
+    for i, c in enumerate(bound):
+        assert c <= min(s.bit_count() for s in clopen if s >> i & 1)
+    if len(vecs) <= 9:
+        assert bound == _brute_smallest_cocircuits(vecs)
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(arrangements(), sparse_arrangements()))
+def test_cover_and_cocircuit_bound_match_the_eager_oracle(a):
+    for vecs in _component_vectors(a):
+        _check_cover_and_bound(vecs)
+
+
+def test_cover_and_cocircuit_bound_on_moment_curves():
+    """General position: c(i) = r - n when n + 1 < r <= 2n."""
+    for n in range(1, 8):
+        for r in range(1, 13):
+            a = moment_curve_arrangement(n, r)
+            for vecs in _component_vectors(a):
+                bound = _check_cover_and_bound(vecs)
+                if n + 1 < r <= 2 * n:
+                    assert bound == [r - n] * r
+
+
+def test_hyperbolic_search_needs_no_cocircuit_bound(monkeypatch):
+    """A component with no clopen set besides E never computes c."""
+    def unneeded(vecs):
+        raise AssertionError("the cover computed c")
+
+    monkeypatch.setattr(dimension_search, "_smallest_cocircuits", unneeded)
+    for n in range(2, 6):
+        assert max_valid_parts(moment_curve_arrangement(n, 2 * n + 1)) == (None, None)
+
+
 def test_search_leaves_no_reference_cycles():
-    # The recursive closures of the clopen enumeration and the exact cover
-    # are deleted after the root call, so a search leaves nothing for gc.
+    # The recursive closures of the cover and of the cocircuit bound are
+    # deleted after the root call, and the candidate generators end with
+    # their loops, so a search leaves nothing for gc.
     rng = random.Random(5)
     inputs = [random_arrangement(rng, 3, 6), moment_curve_arrangement(4, 7), FOUR_LINES]
     inputs.append(direct_sum(inputs[0], inputs[2]))

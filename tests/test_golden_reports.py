@@ -27,7 +27,9 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from hyparc import cli
+from hyparc import arrangement, cli
+from hyparc.arrangement import load
+from hyparc.dimension_search import max_valid_parts
 
 HERE = Path(__file__).resolve().parent
 
@@ -108,6 +110,30 @@ def test_reports_match_golden_bytes():
 
 def test_long_chain_reports_match_golden_bytes():
     assert_matches_pinned("golden_long_chains.json")
+
+
+def test_partition_search_reads_no_s(monkeypatch):
+    """The search gives the pinned reports' partitions with s unavailable.
+
+    The exit-3 cross-check compares the search with verdicts that read s,
+    so it is an independent check only while the search does not read s.
+    """
+    expected = []
+    for name, inputs in PINNED.items():
+        pinned = json.loads((HERE / name).read_text(encoding="utf-8"))
+        for label, doc in inputs().items():
+            res = CliRunner().invoke(cli.main, ["analyze", "-"], input=json.dumps(doc))
+            assert hashlib.sha256(res.stdout_bytes).hexdigest() == pinned[label]["output_sha256"]
+            report = json.loads(res.stdout)
+            partition = report["witness_partition"]
+            expected.append((doc, report["parts_max"], partition and tuple(map(tuple, partition))))
+
+    def no_s(a):
+        raise AssertionError("the partition search read s")
+
+    monkeypatch.setattr(arrangement, "compute_s", no_s)
+    for doc, parts, partition in expected:
+        assert max_valid_parts(load(doc["n"], doc["forms"])) == (parts, partition)
 
 
 if __name__ == "__main__":
