@@ -4,9 +4,11 @@ An arrangement is a deduplicated set of nonzero linear forms in n+1
 variables, one per hyperplane, each canonicalized to a primitive integer
 vector.  Profiling computes the key combinatorial statistics:
 
+* ``relations`` -- a basis of the linear relations among the forms, the
+  integer vectors lambda with sum_i lambda_i f_i = 0,
 * ``m``  -- projective dimension of the common intersection of all
   hyperplanes (the empty set counts as dimension -1), so the forms have
-  rank n - m,
+  rank n - m = r - #relations,
 * ``s``  -- the largest number of hyperplanes with nonempty common
   intersection, i.e. the largest set of forms of rank at most n,
 * general position -- every subset of min(r, n+1) forms is independent.
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linalg import IntRows, int_rank, int_residual, primitive_vector
+from .exact_linalg import IntRows, int_nullspace, int_residual, primitive_vector
 
 
 BIPARTITION_SCAN_LIMIT = 22  # largest r the partition search and the finiteness verdict accept
@@ -55,8 +57,8 @@ class RefusedError(ValueError):
 class Arrangement:
     """The set of defining forms plus the ambient projective dimension n.
 
-    Each form is a primitive integer vector (``primitive_vector``).  ``m``
-    and ``s`` are computed once, on first use.
+    Each form is a primitive integer vector (``primitive_vector``).
+    ``relations``, ``m`` and ``s`` are computed once, on first use.
     """
 
     n: int
@@ -66,6 +68,16 @@ class Arrangement:
     @property
     def r(self) -> int:
         return len(self.forms)
+
+    @cached_property
+    def relations(self) -> IntRows:
+        """Echelon rows (pivot, lambda) spanning {lambda : sum_i lambda_i f_i = 0}.
+
+        The ``int_nullspace`` of the transposed forms, so its rows come in
+        form order, one made at each form in the span of the earlier forms
+        (see there).
+        """
+        return int_nullspace(list(zip(*self.forms)), self.r)
 
     @cached_property
     def m(self) -> int:
@@ -128,8 +140,11 @@ def refuse_above_scan_limit(a: Arrangement, what: str) -> None:
 
 
 def compute_m(a: Arrangement) -> int:
-    """Projective dimension of the common intersection of all hyperplanes."""
-    return a.n - int_rank(a.forms)
+    """Projective dimension of the common intersection of all hyperplanes.
+
+    The forms have rank r minus the number of independent relations.
+    """
+    return a.n - a.r + len(a.relations)
 
 
 def compute_s(a: Arrangement) -> int:

@@ -42,10 +42,10 @@ class InputError(ValueError):
     """Malformed input document."""
 
 
-def _reject_float(value: str):
-    raise InputError(
-        f"float coefficient {value!r} is not allowed; use an exact fraction \"p/q\""
-    )
+class _Float(str):
+    """The text of a JSON float, kept so that the field holding it rejects it in its own terms."""
+
+    __repr__ = str.__str__  # shown as written, like the numbers of the document
 
 
 def parse_input(text: str) -> tuple[int, list[list[int | Fraction]]]:
@@ -54,7 +54,7 @@ def parse_input(text: str) -> tuple[int, list[list[int | Fraction]]]:
     JSON integers stay ``int``; "p/q" strings become ``Fraction``.
     """
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        doc = json.loads(text, parse_float=_Float)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -76,6 +76,11 @@ def parse_input(text: str) -> tuple[int, list[list[int | Fraction]]]:
         for j, entry in enumerate(row):
             if isinstance(entry, bool):
                 raise InputError(f"form {i}, entry {j}: booleans are not coefficients")
+            if isinstance(entry, _Float):
+                raise InputError(
+                    f"float coefficient {str(entry)!r} is not allowed; "
+                    "use an exact fraction \"p/q\""
+                )
             if isinstance(entry, str) and _FRACTION_RE.fullmatch(entry):
                 entry = Fraction(entry)
             elif not isinstance(entry, int):

@@ -28,11 +28,11 @@ flat E∖B_i that does not contain x_i.  So the picks are independent,
 p <= rank = n - m, and d_max = m + p_max never exceeds n.
 
 Components.  Two forms lie in one connected component when a circuit (a
-minimal dependent set) holds both, and joining the fundamental circuits of
-any basis already joins each component.  Let T be a separator, a union of
+minimal dependent set) holds both.  Let T be a separator, a union of
 connected components, so the matroid is the direct sum of its restrictions
-to T and E∖T and the closure of a set is the union of the closures of its
-parts in T and in E∖T (no form is zero, so there are no loops).
+to T and E∖T: span(T) and span(E∖T) meet only in 0, and the closure of a
+set is the union of the closures of its parts in T and in E∖T (no form is
+zero, so there are no loops).
 
 * Splitting a separator off a block keeps every block clopen: if B is
   clopen, B ∩ T and B∖T are flats, and so are their complements
@@ -55,12 +55,28 @@ parts in T and in E∖T (no form is zero, so there are no loops).
   per-component lexicographically least maximum partitions combine to the
   global one.
 
-Search, per component.  The components come from one fraction-free
-elimination of the rows [v_i | e_i] in form order.  A form whose residual
-keeps a pivot in the left half joins the greedy basis; for any other form
-the right half writes it as a combination of basis forms, and its support
-is the form's fundamental circuit.  The maximum partition is an exact
-cover by clopen sets, memoised on the set U of uncovered forms: the lowest
+Components from relations.  The components are the joined supports of the
+rows of ``Arrangement.relations``, a basis of the relations lambda with
+sum_i lambda_i f_i = 0.
+
+* Each row lies in one component.  The rows come in form order, and the
+  row made at form c is zero at every earlier row's pivot
+  (``int_nullspace``).  Its part in a component C other than that of c
+  sums to a vector of span(C) ∩ span(E∖C) = 0, so it is a relation among
+  forms of C before c and a combination of earlier rows.  By induction
+  each earlier row lies in one component, so the part is a combination of
+  the earlier rows in C alone.  It is zero at their pivots, and echelon
+  rows have no nonzero combination that vanishes at all their pivots, so
+  the part is zero.
+* The supports join into exactly the components.  The rows in a
+  component C span the relations among its forms.  If the supports split
+  C into unions X and Y, those relations are the direct sum of the
+  relations among X and among Y, so r(C) = |C| - #relations = r(X) + r(Y)
+  and C is not connected.  A form in no support is in no circuit: it is a
+  coloop.
+
+Search, per component.  The maximum partition is an exact cover by
+clopen sets, memoised on the set U of uncovered forms: the lowest
 uncovered form f opens the next block, so its candidates are the clopen
 sets A with f in A ⊆ U.  A two-sided closure search yields them on demand:
 the lowest undecided form joins side A, then side B, that side is closed
@@ -97,12 +113,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .arrangement import Arrangement, refuse_above_scan_limit
 from .exact_linalg import (
-    IntRows,
     InternalError,
     Subspace,
     contains,
     int_rank,
-    int_residual,
     intersect,
     span,
 )
@@ -229,30 +243,18 @@ def _low(mask: Mask) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _components(forms: Sequence[tuple[int, ...]]) -> list[Mask]:
+def _components(a: Arrangement) -> list[Mask]:
     """Connected components of the forms' matroid, ordered by least form.
 
-    One fraction-free elimination of the rows [v_i | e_i] in form order,
-    keeping the rows whose pivot lies in the left half: their forms are a
-    greedy basis.  When the left half of a form's residual vanishes, the
-    right half writes the form as a combination of basis forms, so its
-    support is the form's fundamental circuit.  Joining the circuits gives
-    the components; coloops stay alone.
+    Joins the supports of the arrangement's relations (module docstring);
+    a form in no support is a coloop and stays alone.
     """
-    width, r = len(forms[0]), len(forms)
-    rows: IntRows = []
-    comps: list[Mask] = []
-    for i, v in enumerate(forms):
-        res = int_residual(rows, tuple(v) + tuple(int(j == i) for j in range(r)))
-        pivot = next(j for j, x in enumerate(res) if x)
-        if pivot < width:
-            rows.append((pivot, res))
-            comps.append(1 << i)
-        else:
-            circuit = sum(1 << j for j, x in enumerate(res[width:]) if x)
-            comps = [c for c in comps if not c & circuit] + [
-                circuit | sum(c for c in comps if c & circuit)  # disjoint: sum is union
-            ]
+    comps = [1 << i for i in range(a.r)]
+    for _, relation in a.relations:
+        support = sum(1 << i for i, x in enumerate(relation) if x)
+        comps = [c for c in comps if not c & support] + [
+            sum(c for c in comps if c & support)  # disjoint: sum is union
+        ]
     return sorted(comps, key=_low)
 
 
@@ -469,7 +471,7 @@ def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     """
     refuse_above_scan_limit(a, "partition search")
     blocks = []
-    for comp in _components(a.forms):
+    for comp in _components(a):
         forms = [i for i in range(a.r) if comp >> i & 1]
         for block in blocks_of(_max_cover([a.forms[i] for i in forms])):
             blocks.append(tuple(forms[i] for i in block))

@@ -167,7 +167,10 @@ def int_nullspace(rows: Sequence[Sequence[int]], width: int) -> IntRows:
 
     Echelon [column c of R | unit vector e_c] over the columns; as in
     ``int_intersect``, the rows whose left half vanished carry a basis of
-    the kernel in their right half.
+    the kernel in their right half.  At most one such row is made at each
+    column c, in column order.  It is supported on columns 0..c, nonzero
+    at c, and, like every ``int_echelon`` row, zero at the pivot of every
+    earlier row.
     """
     k = len(rows)
     augmented = [

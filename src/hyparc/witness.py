@@ -8,8 +8,11 @@ independent on Y.
 
 Write V_j for the span of block j and V_-j for the span of the other
 forms.  The separation space W is the sum of the overlaps V_j ∩ V_-j, and
-no form lies in W.  Block j adds a hyperplane H_j of V_j that contains its
-overlap and misses every form of the block, and U = W + H_1 + ... + H_p.
+no form lies in W.  The overlaps are block sums of relations: x lies in
+V_j ∩ V_-j iff x = sum over i in B_j of lambda_i f_i for a linear relation
+lambda among the forms (sum_i lambda_i f_i = 0), so ``Arrangement.relations``
+gives every overlap.  Block j adds a hyperplane H_j of V_j that contains
+its overlap and misses every form of the block, and U = W + H_1 + ... + H_p.
 Adding the H_j one at a time is the chain U_0 = W ⊆ ... ⊆ U_p = U, whose
 step i extends U_{i-1} ∩ V_i; that meet is always the overlap V_i ∩ V_-i,
 so each block's step reads only its own overlap:
@@ -33,10 +36,12 @@ finitely many t, so the walk terminates and the output is reproducible.
 Arithmetic.  Everything here is integer; every function takes integer
 rows, and rational input ends at ``arrangement.load``.  The forms are
 the arrangement's primitive integer rows, and W and U are integer echelon
-rows of ``exact_linalg``: the p overlaps are one Zassenhaus intersection
-each, and the invariants are checked with integer residuals, ranks and the
-p block meets U ∩ V_j.  Where a result depends on the basis and not just
-on the space, the basis is canonical: the moment-curve walk in
+rows of ``exact_linalg``: the p overlaps are the echelon rows of the
+block sums of the relations, and the invariants are checked with integer
+residuals, ranks and the p block meets U ∩ V_j, each a Zassenhaus
+intersection, so the check does not rerun the construction.  Where a
+result depends on the basis and not just on the space, the basis is
+canonical: the moment-curve walk in
 ``generic_avoiding_extension`` reads the ``int_rref`` rows of the overlap
 and of V_j, each a primitive integer multiple of a reduced row echelon
 row, and keeps the rational vectors it derives from them as an integer row
@@ -260,20 +265,22 @@ def generic_avoiding_extension(
     ]
 
 
-def block_overlaps(coeffs: Sequence[Sequence[int]], partition: Blocks) -> list[IntRows]:
+def block_overlaps(a: Arrangement, partition: Blocks) -> list[IntRows]:
     """For each block, span(block) ∩ span(other forms), as echelon rows.
 
-    Their sum is the separation space W, and overlap j is the meet
-    U_{j-1} ∩ V_j that block j's step extends (module docstring).
+    A vector x lies in V_j ∩ V_-j iff x = sum over i in B_j of lambda_i f_i
+    for a relation lambda (sum_i lambda_i f_i = 0), so overlap j is spanned
+    by these block sums over a basis of the relations.  Their sum is the
+    separation space W, and overlap j is the meet U_{j-1} ∩ V_j that block
+    j's step extends (module docstring).
     """
-    width = len(coeffs[0])
-    overlaps = []
-    for block in partition:
-        others = set(range(len(coeffs))) - set(block)
-        overlaps.append(
-            int_intersect((coeffs[i] for i in block), (coeffs[i] for i in others), width)
+    return [
+        int_echelon(
+            [sum(lam[i] * a.forms[i][k] for i in block) for k in range(a.n + 1)]
+            for _, lam in a.relations
         )
-    return overlaps
+        for block in partition
+    ]
 
 
 def _check_u(
@@ -309,7 +316,7 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     """
     validate_partition(a, partition)
     coeffs = a.forms
-    overlaps = block_overlaps(coeffs, partition)
+    overlaps = block_overlaps(a, partition)
     w = int_echelon(row for overlap in overlaps for row in _plain(overlap))
     violating = next((i for i, v in enumerate(coeffs) if _in(w, v)), None)
     if violating is not None:
@@ -356,17 +363,13 @@ def _generic_point(covectors: Sequence[Sequence], dim: int) -> tuple[int, ...]:
 def build_witness_for_mplus1(a: Arrangement) -> WitnessSubspace:
     """The always-achievable witness of dimension m + 1.
 
-    For m = -1 this is a single point off every hyperplane.  Otherwise Y is
-    the common intersection of the arrangement extended by one generic point,
-    so all restrictions collapse to a single projective class.
+    Y is the common intersection of the arrangement, empty when m = -1,
+    extended by one generic point, so all restrictions collapse to a single
+    projective class.
     """
     m = a.m
     point = _generic_point(a.forms, a.n + 1)
-    if m == -1:
-        rows = [point]
-    else:
-        rows = _plain(int_nullspace(a.forms, a.n + 1)) + [point]
-    w = _witness(a, rows)
+    w = _witness(a, _plain(int_nullspace(a.forms, a.n + 1)) + [point])
     _assert(w.dim == m + 1, f"baseline witness has dimension {w.dim}, expected {m + 1}")
     _assert(w.verification.ok, f"baseline witness failed: {w.verification.diagnostics}")
     return w

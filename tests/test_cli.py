@@ -41,6 +41,10 @@ class TestParseInput:
         with pytest.raises(cli.InputError, match="p/q"):
             cli.parse_input('{"n": 2, "forms": [[0.5, 0, 0]]}')
 
+    def test_float_n_rejected_as_n(self):
+        with pytest.raises(cli.InputError, match=r"^'n' must be an integer, got 1\.0$"):
+            cli.parse_input('{"n": 1.0, "forms": [[1, 0]]}')
+
     def test_float_string_rejected(self):
         with pytest.raises(cli.InputError, match="entry 0"):
             cli.parse_input('{"n": 2, "forms": [["0.5", 0, 0]]}')

@@ -318,18 +318,35 @@ def _circuit_components(forms):
     return comps
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(
+SEPARABLE = st.one_of(
     sparse_arrangements(max_r=8),
     st.builds(direct_sum, arrangements(max_r=4), arrangements(max_r=4)),
-))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEPARABLE)
 def test_components_match_circuit_oracle(a):
-    comps = _components(a.forms)
+    comps = _components(a)
     assert comps == _circuit_components(a.forms)
     rank = int_rank(a.forms)
     for i in range(a.r):
         if int_rank(a.forms[:i] + a.forms[i + 1:]) < rank:  # a coloop
             assert 1 << i in comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEPARABLE)
+def test_relations_are_a_basis_inside_the_components(a):
+    relations = [lam for _, lam in a.relations]
+    for lam in relations:
+        assert not any(sum(x * f[k] for x, f in zip(lam, a.forms)) for k in range(a.n + 1))
+    assert int_rank(relations) == len(relations) == a.r - int_rank(a.forms)
+    assert a.m == a.n - int_rank(a.forms)
+    comps = _circuit_components(a.forms)
+    for lam in relations:
+        support = sum(1 << i for i, x in enumerate(lam) if x)
+        assert any(support & ~comp == 0 for comp in comps)
 
 
 class TestFormerHardCases:
@@ -343,6 +360,18 @@ class TestFormerHardCases:
     def test_general_position_9_12(self):
         doc = cli.generate_document("general_position", 9, 12)
         assert achievable_dimensions(load(doc["n"], doc["forms"])).d_max == 3
+
+    def test_cocircuit_bound_per_form(self):
+        # One component of 15 forms in P^11: 13 moment-curve forms in the
+        # first 11 coordinates and two forms off them.  The cover's bound
+        # must read c(i) per form: with the component's smallest
+        # cocircuit, 2, as the c of every form the search ran over a minute.
+        forms = [[t**k for k in range(11)] + [0] for t in range(1, 14)]
+        forms += [[(7 * t + 1) ** j % 97 + 1 for j in range(12)] for t in (1, 2)]
+        a = load(11, forms)
+        assert _components(a) == [(1 << 15) - 1]
+        assert _smallest_cocircuits(list(a.forms)) == [4] * 13 + [2] * 2
+        assert max_valid_parts(a)[0] == 4
 
 
 class TestCoarsening:
@@ -394,7 +423,7 @@ class TestAchievableDimensions:
 
 
 def _component_vectors(a):
-    for comp in _components(a.forms):
+    for comp in _components(a):
         yield [a.forms[i] for i in range(a.r) if comp >> i & 1]
 
 

@@ -249,9 +249,9 @@ class TestUChain:
                 break
 
 
-def separation_space(coeffs, blocks, width):
+def separation_space(a, blocks):
     """W as a canonical subspace, summed from the integer block overlaps."""
-    return span([row for meet in block_overlaps(coeffs, blocks) for _, row in meet], width)
+    return span([row for meet in block_overlaps(a, blocks) for _, row in meet], a.n + 1)
 
 
 def partitions_of(a):
@@ -272,7 +272,7 @@ def test_separation_space_matches_check_partition(a):
         if all(is_flat(coeffs, b) and is_flat(coeffs, set(range(a.r)) - set(b)) for b in blocks):
             chk = check_partition(a, blocks)
             assert chk.valid
-            assert separation_space(coeffs, blocks, a.n + 1) == chk.w_space
+            assert separation_space(a, blocks) == chk.w_space
 
 
 @settings(max_examples=15, deadline=None)
@@ -283,10 +283,10 @@ def test_every_partition_matches_check_partition(a):
     coeffs = a.forms
     for blocks in partitions_of(a):
         chk = check_partition(a, blocks)
-        assert separation_space(coeffs, blocks, a.n + 1) == chk.w_space
+        assert separation_space(a, blocks) == chk.w_space
         # Each overlap, the last block's too, is W ∩ span(block), the meet
         # that block's step extends.
-        for b, meet in zip(blocks, block_overlaps(coeffs, blocks), strict=True):
+        for b, meet in zip(blocks, block_overlaps(a, blocks), strict=True):
             block_span = span([coeffs[i] for i in b], a.n + 1)
             assert span([row for _, row in meet], a.n + 1) == intersect(chk.w_space, block_span)
         if not chk.valid:
@@ -315,7 +315,7 @@ class TestChainStepCheck:
         """Check U = span(u_vectors) for the partition; its real U passes."""
         coeffs = a.forms
         block_rows = [int_rref(coeffs[i] for i in b) for b in partition]
-        w = int_echelon(row for meet in block_overlaps(coeffs, partition) for _, row in meet)
+        w = int_echelon(row for meet in block_overlaps(a, partition) for _, row in meet)
         _check_u(coeffs, block_rows, w, build_u_chain(a, partition).rows)
         _check_u(coeffs, block_rows, w, int_echelon(u_vectors))
 
