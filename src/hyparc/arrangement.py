@@ -13,6 +13,43 @@ vector.  Profiling computes the key combinatorial statistics:
   intersection, i.e. the largest set of forms of rank at most n,
 * general position -- every subset of min(r, n+1) forms is independent.
 
+s from the shallower side.  When the forms have rank at most n they all
+meet, and s = r.  Otherwise the rank is n+1, the largest sets of rank n
+are the hyperplanes of the forms' matroid (flats of rank n), and s is r
+minus the smallest cocircuit, the complement of a hyperplane (Oxley,
+*Matroid Theory*, ch. 2).  The cocircuits of the forms are the circuits of
+the dual matroid, which the columns of ``relations`` represent: column i
+holds the i-th coefficient of every relation, the k = r - rank columns
+span a space of rank k, and a set of columns is dependent iff its
+complement does not span the forms.  So s comes from either side:
+
+* ``_largest_hyperplane`` takes forms into a flat down to rank - 2, where
+  the hyperplanes over it are read off the classes of the residuals;
+* ``_smallest_circuit`` takes relation columns into an independent set up
+  to rank k - 1, where any column it pulls in closes a circuit.
+
+Both run on ``_closed_with``, the closure step of the finiteness verdict,
+not on the partition search's ``_close``.  ``dual_is_shallower`` searches
+the columns when k <= rank - 4.  The rule follows these in-process
+seconds for s, the best of three runs (2 vCPUs, Python 3.11.7), on
+``hyparc generate`` inputs:
+
+=================================  ====  ==  ======  =====
+input                              rank  k   primal  dual
+=================================  ====  ==  ======  =====
+``general_position -n 8 -r 16``    9     7   0.30    0.54
+``random -n 7 -r 16 --seed 3``     8     8   0.12    0.24
+``random -n 7 -r 15``              8     7   0.14    0.34
+``general_position -n 9 -r 16``    10    6   0.28    0.27
+``random -n 8 -r 14 --seed 2``     9     5   0.045   0.028
+``random -n 10 -r 16``             11    5   0.24    0.12
+``general_position -n 12 -r 19``   13    6   1.07    0.50
+``random -n 12 -r 20``             13    7   4.2     3.4
+=================================  ====  ==  ======  =====
+
+The partition search applies the same rule to each matroid component,
+with that component's rank and relation count, for its bound c(i).
+
 ``Arrangement`` is also the per-arrangement context: its forms are the
 integer rows every stage reads, and m and s are computed on first use and
 kept, so every stage of an analysis reads the same values.
@@ -147,36 +184,138 @@ def compute_m(a: Arrangement) -> int:
     return a.n - a.r + len(a.relations)
 
 
+def _closed_with(side: int, outside: dict, u: int, other: int):
+    """Closure of the flat ``side`` plus form ``u``; None when it meets ``other``.
+
+    Sets of forms are bitmasks.  ``outside`` maps each form not in ``side``
+    to its residual against span(side).  Reducing each residual by the one
+    row of ``u`` gives the residuals against the grown span; a zero residual
+    puts its form into the closure.  Returns the closed side and its new
+    ``outside`` map.  This step serves ``s`` and the finiteness verdict of
+    ``corollaries``; the partition search has its own (``_close``), so the
+    exit-3 cross-check compares computations that share no closure code.
+    """
+    row = outside[u]
+    step = [(next(j for j, x in enumerate(row) if x), row)]
+    side |= 1 << u
+    still_outside = {}
+    for e, res in outside.items():
+        if e == u:
+            continue
+        res = int_residual(step, res)
+        if any(res):
+            still_outside[e] = res
+        elif other >> e & 1:
+            return None
+        else:
+            side |= 1 << e
+    return side, still_outside
+
+
+def dual_is_shallower(rank: int, corank: int) -> bool:
+    """The side rule: search the relation columns' circuits, not the hyperplanes.
+
+    The hyperplane search goes down to rank - 2, the circuit search up to
+    corank - 1 (module docstring).  This one comparison picks the side for
+    ``s`` and, per matroid component, for the partition search's c(i).
+    """
+    return corank <= rank - 4
+
+
+def _largest_hyperplane(vecs: Sequence[Sequence[int]], rank: int) -> int:
+    """Size of the largest flat of rank ``rank`` - 1 of the primitive vectors.
+
+    ``rank`` is the rank of all the vectors, at least 2.  The lowest
+    undecided vector is taken into the flat, which is closed again, or
+    skipped, and a branch dies when the closure takes in a skipped vector;
+    each take raises the rank by one.  Over a flat F of rank ``rank`` - 2
+    the vectors outside reduce to a plane, so the hyperplanes through F are
+    F plus one projective class of those residuals each.  A branch stops
+    once F plus its undecided vectors is no larger than the best found: the
+    branch that takes exactly the members of a hyperplane H skips none of
+    them, so it reaches H as long as |H| is larger.
+    """
+    full = (1 << len(vecs)) - 1
+    zero = (0,) * len(vecs[0])
+    best = 0
+
+    def dfs(flat: int, outside: dict, skipped: int, level: int) -> None:
+        nonlocal best
+        size = flat.bit_count()
+        undecided = full & ~(flat | skipped)
+        if size + undecided.bit_count() <= best:
+            return
+        if level == rank - 2:
+            classes: dict[tuple[int, ...], int] = {}
+            for res in outside.values():  # residuals are primitive up to sign
+                key = res if res > zero else tuple(-x for x in res)
+                classes[key] = classes.get(key, 0) + 1
+            best = max(best, size + max(classes.values()))
+            return
+        if not undecided:
+            return
+        u = (undecided & -undecided).bit_length() - 1
+        grown = _closed_with(flat, outside, u, skipped)
+        if grown:
+            dfs(*grown, skipped, level + 1)
+        dfs(flat, outside, skipped | 1 << u, level)
+
+    dfs(0, dict(enumerate(vecs)), 0, 0)
+    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
+    return best
+
+
+def _smallest_circuit(relations: Sequence[Sequence[int]], size: int) -> int:
+    """Size of the smallest circuit of the ``size`` columns of the relation rows.
+
+    The rows are independent, so their columns have rank ``corank`` =
+    len(relations), and any corank + 1 columns are dependent.  A zero
+    column is a circuit by itself.  Otherwise the search takes the lowest
+    undecided column into an independent set T or skips it.  When taking u
+    pulls another column e into the closure, e lies in span(T + u) but not
+    in span(T), so the one circuit inside T + u + e has at most |T| + 2
+    columns: that is recorded, and supersets of T + u can only record more.
+    The smallest circuit C = {c_1 < ... < c_g} is reached: the branch that
+    takes c_1 .. c_g-1 pulls c_g in at the last take, from |T| = g - 2,
+    unless an earlier take already recorded as little.  A branch stops when
+    |T| + 2 is no smaller than the best found.
+    """
+    columns = [tuple(lam[i] for lam in relations) for i in range(size)]
+    if not all(any(col) for col in columns):
+        return 1
+    best = len(relations) + 1
+
+    def dfs(outside: dict, undecided: int, level: int) -> None:
+        nonlocal best
+        while undecided and level + 2 < best:
+            u = (undecided & -undecided).bit_length() - 1
+            undecided ^= 1 << u  # taken below, then skipped by the loop
+            _, grown = _closed_with(0, outside, u, 0)
+            if len(grown) < len(outside) - 1:  # u pulled another column in
+                best = level + 2
+            else:
+                dfs(grown, undecided, level + 1)
+
+    dfs({e: primitive_vector(col) for e, col in enumerate(columns)}, (1 << size) - 1, 0)
+    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
+    return best
+
+
 def compute_s(a: Arrangement) -> int:
     """Largest subset size with nonempty common projective intersection.
 
-    Maximizes |T| subject to rank(span T) <= n.  Rank is monotone in the
-    subset, so the search grows subsets incrementally and prunes any branch
-    whose rank reaches n+1; a dependent form is always taken (it enlarges the
-    subset without changing the rank).
+    r when the forms have rank at most n; otherwise the size of the largest
+    hyperplane of the forms, that is r minus the smallest cocircuit, which
+    is the smallest circuit of the relation columns.  ``dual_is_shallower``
+    picks the side to search (module docstring).
     """
-    forms, r, cap = a.forms, a.r, a.n
-    best = 0
-
-    def dfs(i: int, rows: IntRows, count: int) -> None:
-        nonlocal best
-        if count + (r - i) <= best:
-            return
-        if i == r:
-            best = max(best, count)
-            return
-        res = int_residual(rows, forms[i])
-        pivot = next((j for j, x in enumerate(res) if x), None)
-        if pivot is None:
-            dfs(i + 1, rows, count + 1)  # free: rank unchanged
-        else:
-            if len(rows) < cap:
-                dfs(i + 1, rows + [(pivot, res)], count + 1)
-            dfs(i + 1, rows, count)
-
-    dfs(0, [], 0)
-    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
-    return best
+    corank = len(a.relations)
+    rank = a.r - corank
+    if rank <= a.n:
+        return a.r
+    if dual_is_shallower(rank, corank):
+        return a.r - _smallest_circuit([lam for _, lam in a.relations], a.r)
+    return _largest_hyperplane(a.forms, rank)
 
 
 def is_general_position(a: Arrangement) -> bool:

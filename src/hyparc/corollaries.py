@@ -5,7 +5,8 @@
   is clopen, i.e. a flat whose complement is a flat too (the bipartition
   rule of ``dimension_search``).  This is decided by a two-sided closure
   search of its own, separate from the search module's, and runs once per
-  analysis.
+  analysis.  Its closure step, ``_closed_with``, lives in ``arrangement``,
+  where the search for s runs on it too; the partition search has its own.
 * General-position bound: when more hyperplanes than can meet at a point,
   the maximal dimension is at most floor(s / (r - s)), with equality for
   arrangements in general position.  When r > s, general position is the
@@ -21,9 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arrangement import Arrangement, is_general_position, refuse_above_scan_limit
+from .arrangement import (
+    Arrangement,
+    _closed_with,
+    is_general_position,
+    refuse_above_scan_limit,
+)
 from .dimension_search import DimensionReport
-from .exact_linalg import int_residual
 
 
 @dataclass(frozen=True)
@@ -31,32 +36,6 @@ class Verdict:
     finiteness: bool
     gp_bound: Optional[int]
     gp_bound_achieved: Optional[bool]
-
-
-def _closed_with(side: int, outside: dict, u: int, other: int):
-    """Closure of the flat ``side`` plus form ``u``; None when it meets ``other``.
-
-    Sets of forms are bitmasks.  ``outside`` maps each form not in ``side``
-    to its residual against span(side).  Reducing each residual by the one
-    row of ``u`` gives the residuals against the grown span; a zero residual
-    puts its form into the closure.  Returns the closed side and its new
-    ``outside`` map.
-    """
-    row = outside[u]
-    step = [(next(j for j, x in enumerate(row) if x), row)]
-    side |= 1 << u
-    still_outside = {}
-    for e, res in outside.items():
-        if e == u:
-            continue
-        res = int_residual(step, res)
-        if any(res):
-            still_outside[e] = res
-        elif other >> e & 1:
-            return None
-        else:
-            side |= 1 << e
-    return side, still_outside
 
 
 def _clopen_split(

@@ -103,6 +103,27 @@ number of blocks.  Ties are decided on the RGS, so the cover found is the
 lexicographically least maximum one, the same witness the exhaustive
 oracle returns.  The search reads neither s nor the verdicts, so the
 exit-3 cross-check that compares them with it stays independent.
+
+c from the shallower side.  The cocircuits of the forms are the circuits
+of the columns of their relation rows (``arrangement``), so c(i) is also
+the size of the smallest circuit through column i.  Each row lies in one
+component (above), so a component C has its own |C| - rank(C) rows, which
+give its rank with no elimination, and ``dual_is_shallower`` picks the side
+from that rank and row count, as it does for s.
+``_smallest_cocircuits`` lists flats of the forms down to rank(C) - 2;
+``_smallest_dual_circuits`` takes columns into an independent set T with
+``_close``.  Before each take of u it gives every column whose residual is
+± that of u the bound |T| + 2, when there are two or more: such a column
+e lies in span(T + u) but not in span(T), and the circuit inside T + u + e
+holds both.  So every bound is a true circuit size.  It is also the
+least: for a smallest circuit C through column i, let G = cl(C∖i).  The
+path that takes the members of G but skips i skips only i and columns
+outside G.  Its closure stays inside the flat G, so it can die only on i;
+and while i is outside the closure, some member of C∖i is too, still
+undecided.  So the path pulls i in, or dies on i, by rank |C| - 1, at a
+take from |T| <= |C| - 2 that gives i its bound before the step.  A branch
+stops once no column outside its flat can get a bound below its current
+one, since every later take records |T| + 2 or more.
 """
 
 from __future__ import annotations
@@ -111,13 +132,13 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
-from .arrangement import Arrangement, refuse_above_scan_limit
+from .arrangement import Arrangement, dual_is_shallower, refuse_above_scan_limit
 from .exact_linalg import (
     InternalError,
     Subspace,
     contains,
-    int_rank,
     intersect,
+    primitive_vector,
     span,
 )
 
@@ -317,7 +338,7 @@ def _splits(
         yield from _splits(full, a, a_out, *grown, keep)
 
 
-def _smallest_cocircuits(vecs: list[tuple[int, ...]]) -> list[int]:
+def _smallest_cocircuits(vecs: list[tuple[int, ...]], rank: int) -> list[int]:
     """For each form i, the size of the smallest cocircuit that holds it.
 
     A cocircuit is the complement of a hyperplane, so the smallest one
@@ -329,11 +350,11 @@ def _smallest_cocircuits(vecs: list[tuple[int, ...]]) -> list[int]:
     so the hyperplanes through F are F plus one projective class of those
     residuals each.  A branch stops once no hyperplane in it, which avoids
     every skipped form, can be larger than the largest already found for
-    every form outside F.
+    every form outside F.  ``rank`` is the rank of all the vectors.
     """
     k = len(vecs)
     full = (1 << k) - 1
-    coline = int_rank(vecs) - 2
+    coline = rank - 2
     zero = (0,) * len(vecs[0])
     largest = [0] * k
 
@@ -369,7 +390,51 @@ def _smallest_cocircuits(vecs: list[tuple[int, ...]]) -> list[int]:
     return [k - f for f in largest]
 
 
-def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _smallest_dual_circuits(relations: list[tuple[int, ...]], k: int) -> list[int]:
+    """For each of k forms, the size of the smallest cocircuit that holds it.
+
+    The same numbers as ``_smallest_cocircuits``, from the k columns of the
+    relation rows, whose circuits are the cocircuits of the forms.  A zero
+    column is a circuit by itself.  Otherwise the lowest undecided column u
+    is taken into the independent set T, whose flat is closed again, or
+    skipped, and a branch dies when the closure takes in a skipped column.
+    Before each take, when two or more columns have residuals ± that of u,
+    skipped ones included, each of them gets the bound |T| + 2.  The module
+    docstring proves the bounds exact.
+    """
+    corank = len(relations)
+    columns = [tuple(lam[i] for lam in relations) for i in range(k)]
+    smallest = [corank + 1 if any(col) else 1 for col in columns]
+    # lists, as ``_close`` makes its residuals, so that == compares them
+    nonzero = {e: list(primitive_vector(col)) for e, col in enumerate(columns) if any(col)}
+    full = sum(1 << e for e in nonzero)
+
+    def dfs(flat: Mask, outside: dict, skipped: Mask, rank: int) -> None:
+        if all(smallest[e] <= rank + 2 for e in outside):
+            return
+        undecided = full & ~(flat | skipped)
+        if not undecided:
+            return
+        u = _low(undecided)
+        row = outside[u]
+        neg = [-x for x in row]
+        same = [e for e, res in outside.items() if res == row or res == neg]
+        if len(same) > 1:
+            for e in same:
+                smallest[e] = min(smallest[e], rank + 2)
+        grown = _close(flat, outside, u, skipped)
+        if grown:
+            dfs(*grown, skipped, rank + 1)
+        dfs(flat, outside, skipped | 1 << u, rank)
+
+    dfs(0, nonzero, 0, 0)
+    del dfs  # break the function <-> cell cycle, so no garbage is left for gc
+    return smallest
+
+
+def _max_cover(
+    vecs: list[tuple[int, ...]], relations: list[tuple[int, ...]]
+) -> tuple[int, ...]:
     """RGS of the lexicographically least partition into most clopen sets.
 
     Exact cover memoised on the uncovered forms U: the lowest uncovered form
@@ -393,7 +458,9 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
     While ``want`` is 1 or less the test can only skip forms that have no
     cover at all, which ``solve`` finds out by itself, so c is computed the
     first time ``want`` reaches 2.  A component with no clopen set besides
-    E never gets there.
+    E never gets there.  ``relations`` are the component's rows of
+    ``Arrangement.relations``, cut down to its forms: they give its rank
+    and the side c is read from (module docstring).
     """
     k = len(vecs)
     nothing = dict(enumerate(vecs))
@@ -437,7 +504,12 @@ def _max_cover(vecs: list[tuple[int, ...]]) -> tuple[int, ...]:
                 )
             floor = want
             if want > 1 and not by_bound:
-                for i, c in enumerate(_smallest_cocircuits(vecs)):
+                rank = k - len(relations)
+                if dual_is_shallower(rank, len(relations)):
+                    bound = _smallest_dual_circuits(relations, k)
+                else:
+                    bound = _smallest_cocircuits(vecs, rank)
+                for i, c in enumerate(bound):
                     by_bound[c] = by_bound.get(c, 0) | 1 << i
                 scale = lcm(*by_bound)
             if by_bound and weight(rest) < want * scale:
@@ -473,7 +545,8 @@ def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     blocks = []
     for comp in _components(a):
         forms = [i for i in range(a.r) if comp >> i & 1]
-        for block in blocks_of(_max_cover([a.forms[i] for i in forms])):
+        relations = [tuple(lam[i] for i in forms) for p, lam in a.relations if comp >> p & 1]
+        for block in blocks_of(_max_cover([a.forms[i] for i in forms], relations)):
             blocks.append(tuple(forms[i] for i in block))
     if len(blocks) < 2:
         return None, None

@@ -47,10 +47,10 @@ def arrangements(draw, max_r=8):
 
 
 @st.composite
-def sparse_arrangements(draw, max_r=9):
+def sparse_arrangements(draw, max_r=9, max_n=5):
     """Arrangements of mostly-zero forms, so the matroid often splits into
     several connected components."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     entry = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
     rows = draw(
         st.lists(
@@ -60,6 +60,25 @@ def sparse_arrangements(draw, max_r=9):
         )
     )
     return load(n, rows)
+
+
+def both_sides():
+    """Arrangements on either side of ``arrangement.dual_is_shallower``.
+
+    Small dense and sparse forms and direct sums have few relations for
+    their rank or many; sparse forms in up to P^8 and general position with
+    r - n - 1 <= 3 relations add shapes of high rank and few relations.
+    """
+    near_independent = st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.builds(moment_curve_arrangement, st.just(n), st.integers(n + 2, n + 4))
+    )
+    return st.one_of(
+        arrangements(),
+        sparse_arrangements(),
+        sparse_arrangements(max_r=11, max_n=8),
+        st.builds(direct_sum, arrangements(max_r=4), arrangements(max_r=4)),
+        near_independent,
+    )
 
 
 def garbage_left_by(call, *args) -> int:

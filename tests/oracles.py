@@ -1,7 +1,9 @@
 """Test oracles that ``analyze`` never runs.
 
 ``is_flat`` is the plain definition of a flat of the forms' matroid, which
-the clopen tests compare the search's criteria against.  ``clopen_sets``
+the clopen tests compare the search's criteria against.
+``largest_subset_of_rank`` is the subset search that computed s before
+``hyparc.arrangement`` searched hyperplanes and relation circuits for it.  ``clopen_sets``
 lists every clopen set of a component, and ``eager_max_cover`` runs the
 exact cover over that list with the exact sizes of the smallest clopen
 sets as its bound: the on-demand cover in ``hyparc.dimension_search`` is
@@ -51,6 +53,37 @@ def is_flat(vectors: Sequence[Sequence[int]], side: Iterable[int]) -> bool:
     return all(
         any(int_residual(rows, v)) for i, v in enumerate(vectors) if i not in inside
     )
+
+
+def largest_subset_of_rank(vectors: Sequence[Sequence[int]], cap: int) -> int:
+    """The largest number of the vectors whose span has rank at most ``cap``.
+
+    s is this number for the forms and cap n.  Rank is monotone in the
+    subset, so the search grows subsets incrementally and prunes any branch
+    whose rank would pass ``cap``; a dependent vector is always taken (it
+    enlarges the subset without changing the rank).
+    """
+    r = len(vectors)
+    best = 0
+
+    def dfs(i: int, rows: list, count: int) -> None:
+        nonlocal best
+        if count + (r - i) <= best:
+            return
+        if i == r:
+            best = max(best, count)
+            return
+        res = int_residual(rows, vectors[i])
+        pivot = next((j for j, x in enumerate(res) if x), None)
+        if pivot is None:
+            dfs(i + 1, rows, count + 1)  # free: rank unchanged
+        else:
+            if len(rows) < cap:
+                dfs(i + 1, rows + [(pivot, res)], count + 1)
+            dfs(i + 1, rows, count)
+
+    dfs(0, [], 0)
+    return best
 
 
 def clopen_sets(vecs: list[tuple[int, ...]]) -> list[Mask]:

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from hyparc.arrangement import (
     Arrangement,
     ArrangementError,
+    _largest_hyperplane,
+    _smallest_circuit,
     compute_m,
     compute_s,
+    dual_is_shallower,
     is_general_position,
     load,
     profile,
@@ -22,11 +25,14 @@ from hyparc.exact_linalg import int_rank, span
 
 from .corpus import (
     arrangements,
+    both_sides,
+    direct_sum,
     garbage_left_by,
     moment_curve_arrangement,
     random_arrangement,
     sparse_arrangements,
 )
+from .oracles import largest_subset_of_rank
 
 
 def subset_general_position(a: Arrangement) -> bool:
@@ -122,6 +128,23 @@ class TestComputeS:
             )
             assert compute_s(a) == oracle
 
+    @settings(max_examples=300, deadline=None)
+    @given(both_sides())
+    def test_both_sides_match_the_subset_oracle(self, a):
+        """s, and the largest hyperplane from each side, against subset search.
+
+        ``compute_s`` runs one side, picked by ``dual_is_shallower``; both
+        enumerations are called directly too, whichever side it picks.
+        """
+        assert compute_s(a) == largest_subset_of_rank(a.forms, a.n)
+        corank = len(a.relations)
+        rank = a.r - corank
+        if rank >= 2:
+            hyperplane = largest_subset_of_rank(a.forms, rank - 1)
+            assert _largest_hyperplane(a.forms, rank) == hyperplane
+            relations = [lam for _, lam in a.relations]
+            assert a.r - _smallest_circuit(relations, a.r) == hyperplane
+
 
 class TestGeneralPosition:
     def test_four_lines(self):
@@ -176,5 +199,12 @@ class TestProfile:
 
 def test_compute_s_leaves_no_reference_cycles():
     rng = random.Random(7)
-    for a in (random_arrangement(rng, 3, 6), moment_curve_arrangement(4, 7)):
+    primal = [random_arrangement(rng, 3, 6), moment_curve_arrangement(4, 7)]
+    dual = [
+        moment_curve_arrangement(6, 9),
+        direct_sum(moment_curve_arrangement(2, 4), moment_curve_arrangement(3, 5)),
+    ]
+    for a in primal + dual:
+        corank = len(a.relations)
+        assert a.m == -1 and dual_is_shallower(a.r - corank, corank) == (a in dual)
         assert garbage_left_by(compute_s, a) == 0

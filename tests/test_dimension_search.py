@@ -12,16 +12,17 @@ from hyparc import cli, dimension_search
 from hyparc.arrangement import (
     BIPARTITION_SCAN_LIMIT,
     RefusedError,
+    _closed_with,
     is_general_position,
     load,
 )
-from hyparc.corollaries import _closed_with
 from hyparc.dimension_search import (
     SpanCache,
     _close,
     _components,
     _max_cover,
     _smallest_cocircuits,
+    _smallest_dual_circuits,
     achievable_dimensions,
     blocks_of,
     brute_force_max_parts,
@@ -33,6 +34,7 @@ from hyparc.exact_linalg import int_echelon, int_rank, int_residual, span
 
 from .corpus import (
     arrangements,
+    both_sides,
     direct_sum,
     garbage_left_by,
     moment_curve_arrangement,
@@ -369,8 +371,11 @@ class TestFormerHardCases:
         forms = [[t**k for k in range(11)] + [0] for t in range(1, 14)]
         forms += [[(7 * t + 1) ** j % 97 + 1 for j in range(12)] for t in (1, 2)]
         a = load(11, forms)
-        assert _components(a) == [(1 << 15) - 1]
-        assert _smallest_cocircuits(list(a.forms)) == [4] * 13 + [2] * 2
+        # rank 12 and 3 relations: the search reads c from the dual side
+        [(vecs, relations)] = _component_parts(a)
+        assert len(relations) == 3
+        assert _smallest_cocircuits(vecs, 12) == [4] * 13 + [2] * 2
+        assert _smallest_dual_circuits(relations, 15) == [4] * 13 + [2] * 2
         assert max_valid_parts(a)[0] == 4
 
 
@@ -422,9 +427,15 @@ class TestAchievableDimensions:
             assert rep.achievable == tuple(range(rep.d_max + 1))
 
 
-def _component_vectors(a):
+def _component_parts(a):
+    """Each component's vectors and its relation rows, cut down to its forms."""
+    parts = []
     for comp in _components(a):
-        yield [a.forms[i] for i in range(a.r) if comp >> i & 1]
+        forms = [i for i in range(a.r) if comp >> i & 1]
+        relations = [tuple(lam[i] for i in forms) for _, lam in a.relations
+                     if any(lam[i] for i in forms)]
+        parts.append(([a.forms[i] for i in forms], relations))
+    return parts
 
 
 def _brute_smallest_cocircuits(vecs):
@@ -435,10 +446,11 @@ def _brute_smallest_cocircuits(vecs):
     return [k - max(m.bit_count() for m in flats if not m >> i & 1) for i in range(k)]
 
 
-def _check_cover_and_bound(vecs):
+def _check_cover_and_bound(vecs, relations):
     """The cover against the eager one, and c(i) against the clopen sizes."""
-    assert _max_cover(vecs) == eager_max_cover(vecs)
-    bound = _smallest_cocircuits(vecs)
+    assert _max_cover(vecs, relations) == eager_max_cover(vecs)
+    bound = _smallest_cocircuits(vecs, len(vecs) - len(relations))
+    assert _smallest_dual_circuits(relations, len(vecs)) == bound
     clopen = clopen_sets(vecs)
     for i, c in enumerate(bound):
         assert c <= min(s.bit_count() for s in clopen if s >> i & 1)
@@ -450,8 +462,20 @@ def _check_cover_and_bound(vecs):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(arrangements(), sparse_arrangements()))
 def test_cover_and_cocircuit_bound_match_the_eager_oracle(a):
-    for vecs in _component_vectors(a):
-        _check_cover_and_bound(vecs)
+    for vecs, relations in _component_parts(a):
+        _check_cover_and_bound(vecs, relations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(both_sides())
+def test_dual_cocircuits_match_the_primal_search(a):
+    """c(i) from the relation columns equals c(i) from the flats, on every
+    component, whichever side ``dual_is_shallower`` picks for it."""
+    for vecs, relations in _component_parts(a):
+        bound = _smallest_cocircuits(vecs, len(vecs) - len(relations))
+        assert _smallest_dual_circuits(relations, len(vecs)) == bound
+        if len(vecs) <= 9:
+            assert bound == _brute_smallest_cocircuits(vecs)
 
 
 def test_cover_and_cocircuit_bound_on_moment_curves():
@@ -459,28 +483,30 @@ def test_cover_and_cocircuit_bound_on_moment_curves():
     for n in range(1, 8):
         for r in range(1, 13):
             a = moment_curve_arrangement(n, r)
-            for vecs in _component_vectors(a):
-                bound = _check_cover_and_bound(vecs)
+            for vecs, relations in _component_parts(a):
+                bound = _check_cover_and_bound(vecs, relations)
                 if n + 1 < r <= 2 * n:
                     assert bound == [r - n] * r
 
 
 def test_hyperbolic_search_needs_no_cocircuit_bound(monkeypatch):
     """A component with no clopen set besides E never computes c."""
-    def unneeded(vecs):
+    def unneeded(*args):
         raise AssertionError("the cover computed c")
 
     monkeypatch.setattr(dimension_search, "_smallest_cocircuits", unneeded)
+    monkeypatch.setattr(dimension_search, "_smallest_dual_circuits", unneeded)
     for n in range(2, 6):
         assert max_valid_parts(moment_curve_arrangement(n, 2 * n + 1)) == (None, None)
 
 
 def test_search_leaves_no_reference_cycles():
-    # The recursive closures of the cover and of the cocircuit bound are
+    # The recursive closures of the cover and of both cocircuit bounds are
     # deleted after the root call, and the candidate generators end with
     # their loops, so a search leaves nothing for gc.
     rng = random.Random(5)
     inputs = [random_arrangement(rng, 3, 6), moment_curve_arrangement(4, 7), FOUR_LINES]
     inputs.append(direct_sum(inputs[0], inputs[2]))
+    inputs.append(moment_curve_arrangement(6, 9))  # c from the relation columns
     for a in inputs:
         assert garbage_left_by(max_valid_parts, a) == 0
