@@ -4,13 +4,13 @@ Two representations, both exact; no floating point is used anywhere.
 
 * Integer echelon rows are all that ``analyze`` uses.  They answer rank
   questions (rank, span membership, flats) and carry the witness:
-  ``int_intersect`` (Zassenhaus), ``int_nullspace`` and ``int_rref`` run on
-  the same ``int_echelon``.  The forms are primitive integer vectors
-  already (``primitive_vector`` of ``int`` or ``Fraction`` rows), so
-  elimination is fraction-free: each ``int_residual`` step
-  cross-multiplies and divides by the gcd, keeping every row a primitive
-  integer vector.  ``int_rref`` rows are canonical: divided by their pivot
-  entries they are the reduced row echelon basis.
+  ``int_nullspace`` and ``int_rref`` run on the same ``int_echelon``, and
+  membership and the witness's invariants read ``int_residual``.  The
+  forms are primitive integer vectors already (``primitive_vector`` of
+  ``int`` or ``Fraction`` rows), so elimination is fraction-free: each
+  ``int_residual`` step cross-multiplies and divides by the gcd, keeping
+  every row a primitive integer vector.  ``int_rref`` rows are canonical:
+  divided by their pivot entries they are the reduced row echelon basis.
 * ``Subspace``, a canonical reduced row-echelon basis of ``Fraction``
   vectors (every pivot 1, pivots strictly increasing, zeros above and below
   each pivot): two subspaces are equal iff their basis tuples are equal.
@@ -97,7 +97,12 @@ IntRows = list[tuple[int, tuple[int, ...]]]
 def int_residual(rows: IntRows, v: Sequence[int]) -> tuple[int, ...]:
     """Fraction-free residual of the integer vector v against echelon rows.
 
-    The residual is zero iff v lies in the span of the rows.
+    Each step clears its row's pivot column for good, as every later row is
+    zero there, and multiplies by a nonzero pivot entry.  So the residual
+    is a nonzero multiple of P(v), the one vector of v + span(rows) that is
+    zero at every pivot column; P is linear with kernel span(rows), and the
+    residual is zero iff v lies in the span.  A step divides by the gcd, so
+    a residual is primitive whenever v is.
     """
     res = v
     for pivot, row in rows:
@@ -148,26 +153,13 @@ def int_rank(vectors: Iterable[Sequence[int]]) -> int:
     return len(int_echelon(vectors))
 
 
-def int_intersect(
-    u_rows: Iterable[Sequence[int]], v_rows: Iterable[Sequence[int]], width: int
-) -> IntRows:
-    """Integer echelon rows of span(u_rows) ∩ span(v_rows), by Zassenhaus.
-
-    Echelon the stacked rows [u|u] and [v|0].  The pivots are distinct
-    first-nonzero columns, so a combination of the rows whose left half
-    vanishes uses only rows with pivot >= width; their right halves are a
-    basis of the intersection, echelon with their pivots shifted by width.
-    """
-    stacked = [tuple(u) * 2 for u in u_rows] + [tuple(v) + (0,) * width for v in v_rows]
-    return [(p - width, row[width:]) for p, row in int_echelon(stacked) if p >= width]
-
-
 def int_nullspace(rows: Sequence[Sequence[int]], width: int) -> IntRows:
     """Integer echelon rows of {x : Rx = 0} for the integer row matrix R.
 
-    Echelon [column c of R | unit vector e_c] over the columns; as in
-    ``int_intersect``, the rows whose left half vanished carry a basis of
-    the kernel in their right half.  At most one such row is made at each
+    Echelon [column c of R | unit vector e_c] over the columns.  The pivots
+    are distinct first-nonzero columns, so a combination of the rows whose
+    left half vanishes uses only rows with pivot >= len(R), and their right
+    halves are a basis of the kernel.  At most one such row is made at each
     column c, in column order.  It is supported on columns 0..c, nonzero
     at c, and, like every ``int_echelon`` row, zero at the pivot of every
     earlier row.

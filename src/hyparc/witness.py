@@ -28,6 +28,20 @@ Invariants, asserted once on U for every block j:
 3. no form of the arrangement lies in U;
 4. U equals the sum over blocks j of U ∩ V_j.
 
+They are read off residuals and one rank; no block meet is built.  The
+``int_residual`` of v against U's echelon rows is a nonzero multiple of
+P(v), the one vector of v + U that is zero at U's pivot columns, and P is
+linear with kernel U.  So invariants 1 and 3 ask for zero and nonzero
+residuals, and invariant 2 holds iff P(V_j), of dimension
+dim V_j - dim(U ∩ V_j), is a line: the residuals of V_j's rows are
+primitive, so up to sign they are one vector besides zeros.  Given 1 and 2,
+invariant 4 is rank U = rank(forms) - p.  Summing maps the direct sum of
+the V_j onto F = span(forms), with a kernel K of dimension
+sum_j dim V_j - dim F.  For (v_j) in K, each v_j = -sum_{i != j} v_i lies
+in V_j ∩ V_-j ⊆ W ⊆ U, so K lies in the direct sum of the U ∩ V_j, of
+dimension sum_j dim V_j - p; so sum_j (U ∩ V_j) has dimension dim F - p,
+and it lies in U.
+
 Genericity (choosing hyperplanes or points that avoid finitely many bad
 loci) is realized deterministically by walking the integer moment curve
 (1, t, t^2, ...) for t = 0, 1, 2, ...; each constraint excludes only
@@ -36,12 +50,11 @@ finitely many t, so the walk terminates and the output is reproducible.
 Arithmetic.  Everything here is integer; every function takes integer
 rows, and rational input ends at ``arrangement.load``.  The forms are
 the arrangement's primitive integer rows, and W and U are integer echelon
-rows of ``exact_linalg``: the p overlaps are the echelon rows of the
+rows of ``exact_linalg``: the p overlaps are the ``int_rref`` rows of the
 block sums of the relations, and the invariants are checked with integer
-residuals, ranks and the p block meets U ∩ V_j, each a Zassenhaus
-intersection, so the check does not rerun the construction.  Where a
-result depends on the basis and not just on the space, the basis is
-canonical: the moment-curve walk in
+residuals and one rank, so the check does not rerun the construction.
+Where a result depends on the basis and not just on the space, the basis
+is canonical: the moment-curve walk in
 ``generic_avoiding_extension`` reads the ``int_rref`` rows of the overlap
 and of V_j, each a primitive integer multiple of a reduced row echelon
 row, and keeps the rational vectors it derives from them as an integer row
@@ -64,7 +77,6 @@ from .exact_linalg import (
     IntRows,
     InternalError,
     int_echelon,
-    int_intersect,
     int_nullspace,
     int_rank,
     int_residual,
@@ -266,7 +278,7 @@ def generic_avoiding_extension(
 
 
 def block_overlaps(a: Arrangement, partition: Blocks) -> list[IntRows]:
-    """For each block, span(block) ∩ span(other forms), as echelon rows.
+    """For each block, span(block) ∩ span(other forms), as ``int_rref`` rows.
 
     A vector x lies in V_j ∩ V_-j iff x = sum over i in B_j of lambda_i f_i
     for a relation lambda (sum_i lambda_i f_i = 0), so overlap j is spanned
@@ -275,7 +287,7 @@ def block_overlaps(a: Arrangement, partition: Blocks) -> list[IntRows]:
     j's step extends (module docstring).
     """
     return [
-        int_echelon(
+        int_rref(
             [sum(lam[i] * a.forms[i][k] for i in block) for k in range(a.n + 1)]
             for _, lam in a.relations
         )
@@ -287,18 +299,19 @@ def _check_u(
     coeffs: Sequence[Sequence[int]], block_rows: Sequence[IntRows], w: IntRows, u: IntRows
 ) -> None:
     """Assert the four invariants (module docstring) on U, for every block."""
-    width = len(coeffs[0])
     _assert(all(_in(u, b) for b in _plain(w)), "separation space W not contained in U")
-    meets = [int_intersect(_plain(u), _plain(b), width) for b in block_rows]
-    for j, (meet, b) in enumerate(zip(meets, block_rows)):
+    zero = (0,) * len(coeffs[0])
+    for j, rows in enumerate(block_rows):
+        # the residuals are primitive up to sign: one class per line of P(V_j)
+        residuals = {int_residual(u, v) for v in _plain(rows)}
+        classes = {res if res > zero else tuple(-x for x in res) for res in residuals}
         _assert(
-            len(meet) == len(b) - 1,
+            len(classes - {zero}) == 1,
             f"block {j}: U ∩ span(block) is not a hyperplane of the block span",
         )
     _assert(not any(_in(u, v) for v in coeffs), "a form of the arrangement lies in U")
-    parts = [row for meet in meets for row in _plain(meet)]
     _assert(
-        all(_in(u, v) for v in parts) and int_rank(parts) == len(u),
+        len(u) == int_rank(coeffs) - len(block_rows),
         "U is not the sum of its block intersections",
     )
 
@@ -309,10 +322,11 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     W is the sum of the block overlaps; a partition with a form in W is
     rejected.  Block j's step extends its overlap to a hyperplane H_j of the
     block span V_j missing every form of the block, so the steps do not
-    depend on each other.  The four invariants are asserted once on U, and
-    its rank must equal (n+1) - (d+1) with d = m + p; any failure is an
-    internal error, since the construction provably succeeds on valid
-    partitions.
+    depend on each other.  The four invariants are asserted once on U, by
+    residuals and one rank, and its rank must also equal (n+1) - (d+1) with
+    d = m + p, which ties m, read off the relations, to this elimination;
+    any failure is an internal error, since the construction provably
+    succeeds on valid partitions.
     """
     validate_partition(a, partition)
     coeffs = a.forms
@@ -326,8 +340,7 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     # W holds each overlap, so adding the kernels adds the hyperplanes.
     kernels: list[tuple[int, ...]] = []
     for block, rows, overlap in zip(partition, block_rows, overlaps):
-        inside = int_rref(_plain(overlap))
-        kernels += generic_avoiding_extension(rows, inside, [coeffs[i] for i in block])
+        kernels += generic_avoiding_extension(rows, overlap, [coeffs[i] for i in block])
     u = int_echelon(_plain(w) + kernels)
     _check_u(coeffs, block_rows, w, u)
     d = a.m + len(partition)

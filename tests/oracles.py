@@ -12,6 +12,8 @@ checked against both.
 moment-curve walk and witness restrictions, on canonical RREF bases, that
 the integer ones in ``hyparc.witness`` are checked against, and
 ``sequential_u_chain`` is the paper's chain of block steps built from them.
+``u_invariant_failure`` checks the four invariants on U from their
+definitions, with ``Fraction`` block meets.
 ``make_witness`` verifies the span of rational point rows as a witness.
 ``shrink_witness`` and ``induced_partition`` are the constructive proof
 behind the report's ``achievable`` list: every dimension below d_max has a
@@ -28,8 +30,10 @@ from hyparc.arrangement import Arrangement
 from hyparc.dimension_search import Blocks, Mask, _close, _low
 from hyparc.exact_linalg import (
     DimensionMismatchError,
+    IntRows,
     Subspace,
     Vector,
+    contains,
     int_echelon,
     int_residual,
     intersect,
@@ -260,6 +264,32 @@ def sequential_u_chain(a: Arrangement, partition: Blocks) -> Subspace:
         _, hyperplane = generic_avoiding_extension(v, intersect(u, v), block)
         u = span(list(u.basis) + list(hyperplane.basis), width)
     return u
+
+
+def u_invariant_failure(
+    coeffs: Sequence[Sequence[int]], block_rows: Sequence[IntRows], w: IntRows, u: IntRows
+) -> Optional[str]:
+    """The message of the first invariant U fails, in ``witness._check_u``'s order, or None.
+
+    Each invariant is read off its definition: W ⊆ U; each meet U ∩ V_j,
+    a ``Fraction`` intersection, is a hyperplane of V_j; no form lies in U;
+    U is the sum of the meets.
+    """
+    width = len(coeffs[0])
+    u_space = span([row for _, row in u], width)
+    if not all(contains(u_space, row) for _, row in w):
+        return "separation space W not contained in U"
+    meets = []
+    for j, rows in enumerate(block_rows):
+        block = span([row for _, row in rows], width)
+        meets.append(intersect(u_space, block))
+        if meets[-1].rank != block.rank - 1:
+            return f"block {j}: U ∩ span(block) is not a hyperplane of the block span"
+    if any(contains(u_space, v) for v in coeffs):
+        return "a form of the arrangement lies in U"
+    if span([b for meet in meets for b in meet.basis], width) != u_space:
+        return "U is not the sum of its block intersections"
+    return None
 
 
 def restrictions(point_basis: Sequence[Vector], coeffs: Sequence[Sequence[int]]) -> list[Vector]:

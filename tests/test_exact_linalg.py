@@ -17,7 +17,6 @@ from hyparc.exact_linalg import (
     Subspace,
     contains,
     int_echelon,
-    int_intersect,
     int_nullspace,
     int_rank,
     int_residual,
@@ -287,19 +286,6 @@ def assert_echelon(rows, width):
         assert len(row) == width
         assert next(i for i, x in enumerate(row) if x) == pivot
         assert all(later[pivot] == 0 for _, later in rows[k + 1:])
-
-
-@settings(max_examples=300, deadline=None)
-@given(int_matrix_strategy(4), int_matrix_strategy(4),
-       st.lists(st.lists(small_entries, min_size=6, max_size=6), max_size=3))
-def test_int_intersect_agrees_with_intersect(u_rows, v_rows, mix):
-    # Combinations of u's rows join v's, so the intersection is often nonzero.
-    v_rows = v_rows + [
-        [sum(c * row[i] for c, row in zip(m, u_rows)) for i in range(4)] for m in mix
-    ]
-    meet = int_intersect(u_rows, v_rows, 4)
-    assert_echelon(meet, 4)
-    assert span([row for _, row in meet], 4) == intersect(span(u_rows, 4), span(v_rows, 4))
 
 
 @settings(max_examples=300, deadline=None)

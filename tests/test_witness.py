@@ -196,18 +196,11 @@ def u_space(chain):
 
 
 def assert_chain_invariants(a, chain):
-    """The four invariants on U, by the ``Fraction`` oracles, for every block."""
-    width = a.n + 1
-    vecs = a.forms
-    u = u_space(chain)
-    assert all(contains(u, b) for b in check_partition(a, chain.partition).w_space.basis)
-    meets = []
-    for b in chain.partition:
-        block_span = span([vecs[i] for i in b], width)
-        meets.append(intersect(u, block_span))
-        assert meets[-1].rank == block_span.rank - 1
-    assert not any(contains(u, v) for v in vecs)
-    assert span([row for meet in meets for row in meet.basis], width) == u
+    """The four invariants on U by the ``Fraction`` oracle, with W from ``check_partition``."""
+    coeffs = a.forms
+    block_rows = [int_rref(coeffs[i] for i in b) for b in chain.partition]
+    w = int_echelon(primitive_vector(b) for b in check_partition(a, chain.partition).w_space.basis)
+    assert oracles.u_invariant_failure(coeffs, block_rows, w, chain.rows) is None
 
 
 class TestUChain:
@@ -300,6 +293,72 @@ def test_u_matches_the_sequential_fraction_chain(a):
     for blocks in partitions_of(a):
         if check_partition(a, blocks).valid:
             assert u_space(build_u_chain(a, blocks)) == oracles.sequential_u_chain(a, blocks)
+
+
+INVARIANT_OF = {
+    "separation space W not contained in U": 1,
+    "U ∩ span(block) is not a hyperplane of the block span": 2,
+    "a form of the arrangement lies in U": 3,
+    "U is not the sum of its block intersections": 4,
+}
+
+
+def check_u_outcomes(a, rng):
+    """Run ``_check_u`` on trial spaces U for every valid partition of ``a``.
+
+    The trials are the real U, a random subset of its rows, the real U plus
+    one or two small random rows, and random rows, half of them forms, which
+    can put a form in U while every block meet stays a hyperplane.  Each
+    must raise exactly the oracle's message, or pass where the oracle finds
+    no failure.  Returns the number of the invariant each trial failed, 0
+    for a pass.
+    """
+    coeffs = a.forms
+    width = a.n + 1
+
+    def small_row():
+        if rng.random() < 0.5:
+            return rng.choice(coeffs)
+        return [rng.randint(-1, 1) for _ in range(width)]
+
+    outcomes = []
+    for blocks in partitions_of(a):
+        if not check_partition(a, blocks).valid:
+            continue
+        real = [row for _, row in build_u_chain(a, blocks).rows]
+        block_rows = [int_rref(coeffs[i] for i in b) for b in blocks]
+        w = int_echelon(row for meet in block_overlaps(a, blocks) for _, row in meet)
+        trials = [
+            real,
+            rng.sample(real, rng.randint(0, len(real))),
+            real + [small_row() for _ in range(rng.randint(1, 2))],
+            [small_row() for _ in range(rng.randint(0, width))],
+        ]
+        for u in map(int_echelon, trials):
+            expected = oracles.u_invariant_failure(coeffs, block_rows, w, u)
+            try:
+                _check_u(coeffs, block_rows, w, u)
+                got = None
+            except InternalError as e:
+                got = str(e)
+            assert got == expected
+            outcomes.append(0 if got is None else INVARIANT_OF[got.split(": ")[-1]])
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements(max_r=6), st.randoms(use_true_random=False))
+def test_check_u_agrees_with_the_oracle(a, rng):
+    check_u_outcomes(a, rng)
+
+
+def test_check_u_trials_reach_every_outcome():
+    rng = random.Random(0)
+    outcomes = set()
+    for _ in range(12):
+        a = random_arrangement(rng, rng.randint(1, 4), rng.randint(2, 6))
+        outcomes.update(check_u_outcomes(a, rng))
+    assert outcomes == {0, 1, 2, 3, 4}
 
 
 class TestChainStepCheck:
