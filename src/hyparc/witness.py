@@ -28,19 +28,19 @@ Invariants, asserted once on U for every block j:
 3. no form of the arrangement lies in U;
 4. U equals the sum over blocks j of U ∩ V_j.
 
-They are read off residuals and one rank; no block meet is built.  The
-``int_residual`` of v against U's echelon rows is a nonzero multiple of
-P(v), the one vector of v + U that is zero at U's pivot columns, and P is
-linear with kernel U.  So invariants 1 and 3 ask for zero and nonzero
-residuals, and invariant 2 holds iff P(V_j), of dimension
-dim V_j - dim(U ∩ V_j), is a line: the residuals of V_j's rows are
-primitive, so up to sign they are one vector besides zeros.  Given 1 and 2,
-invariant 4 is rank U = rank(forms) - p.  Summing maps the direct sum of
-the V_j onto F = span(forms), with a kernel K of dimension
-sum_j dim V_j - dim F.  For (v_j) in K, each v_j = -sum_{i != j} v_i lies
-in V_j ∩ V_-j ⊆ W ⊆ U, so K lies in the direct sum of the U ∩ V_j, of
-dimension sum_j dim V_j - p; so sum_j (U ∩ V_j) has dimension dim F - p,
-and it lies in U.
+They are read off the witness Y = Z(U) itself, on the restrictions the
+report prints; nothing is reduced against U.  U is the annihilator of Y,
+so restriction to Y is linear with kernel U, and it maps V_j onto a space
+of dimension dim V_j - dim(U ∩ V_j), spanned by the restrictions of
+block j's forms.  So invariant 1 holds iff W's rows vanish on Y,
+invariant 2 iff block j's nonzero restrictions form one projective class,
+and invariant 3 iff no restriction is zero.  Given 1 and 2, invariant 4 is
+rank U = rank(forms) - p, that is, dim Y = n - rank(forms) + p.  Summing
+maps the direct sum of the V_j onto F = span(forms), with a kernel K of
+dimension sum_j dim V_j - dim F.  For (v_j) in K, each
+v_j = -sum_{i != j} v_i lies in V_j ∩ V_-j ⊆ W ⊆ U, so K lies in the
+direct sum of the U ∩ V_j, of dimension sum_j dim V_j - p; so
+sum_j (U ∩ V_j) has dimension dim F - p, and it lies in U.
 
 Genericity (choosing hyperplanes or points that avoid finitely many bad
 loci) is realized deterministically by walking the integer moment curve
@@ -51,8 +51,10 @@ Arithmetic.  Everything here is integer; every function takes integer
 rows, and rational input ends at ``arrangement.load``.  The forms are
 the arrangement's primitive integer rows, and W and U are integer echelon
 rows of ``exact_linalg``: the p overlaps are the ``int_rref`` rows of the
-block sums of the relations, and the invariants are checked with integer
-residuals and one rank, so the check does not rerun the construction.
+block sums of the relations.  Y is one ``int_nullspace`` of U, put in
+``int_rref`` form once, and the invariants are checked with dot products
+on its rows, the restrictions and one rank, so the check does not rerun
+the construction.
 Where a result depends on the basis and not just on the space, the basis
 is canonical: the moment-curve walk in
 ``generic_avoiding_extension`` reads the ``int_rref`` rows of the overlap
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .arrangement import Arrangement
@@ -87,14 +90,16 @@ from .exact_linalg import (
 
 @dataclass(frozen=True)
 class UChain:
-    """The covector space U = U_p for one valid partition.
+    """The covector space U = W + H_1 + ... + H_p for one valid partition.
 
-    ``rows`` holds U as integer echelon rows.
+    ``rows`` holds U and ``w`` the separation space W, both as integer
+    echelon rows; ``witness_subspace`` checks U against W.
     """
 
     arrangement: Arrangement
     partition: Blocks
     rows: IntRows
+    w: IntRows
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,6 @@ def _assert(condition: bool, message: str) -> None:
 def _plain(rows: IntRows) -> list[tuple[int, ...]]:
     """The integer vectors of echelon rows, without their pivots."""
     return [row for _, row in rows]
-
-
-def _in(rows: IntRows, v: Sequence[int]) -> bool:
-    """Whether the integer vector v lies in the span of the echelon rows."""
-    return not any(int_residual(rows, v))
 
 
 def _moment_vector(dim: int, t: int) -> tuple[int, ...]:
@@ -295,23 +295,21 @@ def block_overlaps(a: Arrangement, partition: Blocks) -> list[IntRows]:
     ]
 
 
-def _check_u(
-    coeffs: Sequence[Sequence[int]], block_rows: Sequence[IntRows], w: IntRows, u: IntRows
-) -> None:
-    """Assert the four invariants (module docstring) on U, for every block."""
-    _assert(all(_in(u, b) for b in _plain(w)), "separation space W not contained in U")
-    zero = (0,) * len(coeffs[0])
-    for j, rows in enumerate(block_rows):
-        # the residuals are primitive up to sign: one class per line of P(V_j)
-        residuals = {int_residual(u, v) for v in _plain(rows)}
-        classes = {res if res > zero else tuple(-x for x in res) for res in residuals}
+def _check_u(a: Arrangement, partition: Blocks, w: IntRows, y: WitnessSubspace) -> None:
+    """Assert the four invariants (module docstring) on U, read off Y = Z(U), for every block."""
+    _assert(
+        not any(sum(map(mul, b, q)) for _, b in w for q in y.point_basis),
+        "separation space W not contained in U",
+    )
+    rho = y.restrictions
+    for j, block in enumerate(partition):
         _assert(
-            len(classes - {zero}) == 1,
+            len({primitive_vector(rho[i]) for i in block if any(rho[i])}) == 1,
             f"block {j}: U ∩ span(block) is not a hyperplane of the block span",
         )
-    _assert(not any(_in(u, v) for v in coeffs), "a form of the arrangement lies in U")
+    _assert(all(map(any, rho)), "a form of the arrangement lies in U")
     _assert(
-        len(u) == int_rank(coeffs) - len(block_rows),
+        y.dim == a.n - int_rank(a.forms) + len(partition),
         "U is not the sum of its block intersections",
     )
 
@@ -322,41 +320,46 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     W is the sum of the block overlaps; a partition with a form in W is
     rejected.  Block j's step extends its overlap to a hyperplane H_j of the
     block span V_j missing every form of the block, so the steps do not
-    depend on each other.  The four invariants are asserted once on U, by
-    residuals and one rank, and its rank must also equal (n+1) - (d+1) with
-    d = m + p, which ties m, read off the relations, to this elimination;
-    any failure is an internal error, since the construction provably
-    succeeds on valid partitions.
+    depend on each other.  U's rank must equal (n+1) - (d+1) with d = m + p,
+    which ties m, read off the relations, to this elimination; a failure is
+    an internal error, since the construction provably succeeds on valid
+    partitions.  W is kept on the chain for ``witness_subspace``, which
+    asserts the four invariants.
     """
     validate_partition(a, partition)
     coeffs = a.forms
     overlaps = block_overlaps(a, partition)
     w = int_echelon(row for overlap in overlaps for row in _plain(overlap))
-    violating = next((i for i, v in enumerate(coeffs) if _in(w, v)), None)
+    violating = next((i for i, v in enumerate(coeffs) if not any(int_residual(w, v))), None)
     if violating is not None:
         raise ValueError(f"partition fails the separation criterion (form {violating})")
-    block_rows = [int_rref(coeffs[i] for i in block) for block in partition]
     # The walk reads canonical bases, so each H_j depends on the spaces alone.
     # W holds each overlap, so adding the kernels adds the hyperplanes.
     kernels: list[tuple[int, ...]] = []
-    for block, rows, overlap in zip(partition, block_rows, overlaps):
-        kernels += generic_avoiding_extension(rows, overlap, [coeffs[i] for i in block])
+    for block, overlap in zip(partition, overlaps):
+        block_forms = [coeffs[i] for i in block]
+        kernels += generic_avoiding_extension(int_rref(block_forms), overlap, block_forms)
     u = int_echelon(_plain(w) + kernels)
-    _check_u(coeffs, block_rows, w, u)
     d = a.m + len(partition)
     _assert(len(u) == a.n - d, f"U has rank {len(u)}, expected {a.n - d}")
-    return UChain(arrangement=a, partition=partition, rows=u)
+    return UChain(arrangement=a, partition=partition, rows=u, w=w)
 
 
 def witness_subspace(chain: UChain) -> WitnessSubspace:
-    """Y = zero set of U, verified."""
+    """Y = zero set of U, verified.
+
+    Y's ``int_rref`` rows and the restrictions to them are computed once.
+    The four invariants on U are asserted on them, and then Y's dimension
+    m + p and the certificate ``_cond_check`` records; any failure is an
+    internal error.
+    """
     a = chain.arrangement
-    points = int_nullspace(_plain(chain.rows), a.n + 1)
-    w = _witness(a, _plain(points))
+    y = _witness(a, _plain(int_nullspace(_plain(chain.rows), a.n + 1)))
+    _check_u(a, chain.partition, chain.w, y)
     d = a.m + len(chain.partition)
-    _assert(w.dim == d, f"witness has dimension {w.dim}, expected {d}")
-    _assert(w.verification.ok, f"witness verification failed: {w.verification.diagnostics}")
-    return w
+    _assert(y.dim == d, f"witness has dimension {y.dim}, expected {d}")
+    _assert(y.verification.ok, f"witness verification failed: {y.verification.diagnostics}")
+    return y
 
 
 def _generic_point(covectors: Sequence[Sequence], dim: int) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from hyparc.exact_linalg import (
     InternalError,
     contains,
     int_echelon,
+    int_nullspace,
     int_rref,
     intersect,
     nullspace,
@@ -34,9 +35,11 @@ from hyparc.exact_linalg import (
     span,
 )
 from hyparc.witness import (
+    UChain,
     _check_u,
     _generic_point,
     _restrictions,
+    _witness,
     block_overlaps,
     build_u_chain,
     build_witness_for_mplus1,
@@ -295,6 +298,11 @@ def test_u_matches_the_sequential_fraction_chain(a):
             assert u_space(build_u_chain(a, blocks)) == oracles.sequential_u_chain(a, blocks)
 
 
+def zero_set(a, u):
+    """Y = Z(U) for the echelon rows ``u``, built as ``witness_subspace`` builds it."""
+    return _witness(a, [row for _, row in int_nullspace([row for _, row in u], a.n + 1)])
+
+
 INVARIANT_OF = {
     "separation space W not contained in U": 1,
     "U ∩ span(block) is not a hyperplane of the block span": 2,
@@ -304,7 +312,7 @@ INVARIANT_OF = {
 
 
 def check_u_outcomes(a, rng):
-    """Run ``_check_u`` on trial spaces U for every valid partition of ``a``.
+    """Run ``_check_u`` on Y = Z(U) of trial spaces U for every valid partition of ``a``.
 
     The trials are the real U, a random subset of its rows, the real U plus
     one or two small random rows, and random rows, half of them forms, which
@@ -337,7 +345,7 @@ def check_u_outcomes(a, rng):
         for u in map(int_echelon, trials):
             expected = oracles.u_invariant_failure(coeffs, block_rows, w, u)
             try:
-                _check_u(coeffs, block_rows, w, u)
+                _check_u(a, blocks, w, zero_set(a, u))
                 got = None
             except InternalError as e:
                 got = str(e)
@@ -372,11 +380,9 @@ class TestChainStepCheck:
     @staticmethod
     def check(a, partition, u_vectors):
         """Check U = span(u_vectors) for the partition; its real U passes."""
-        coeffs = a.forms
-        block_rows = [int_rref(coeffs[i] for i in b) for b in partition]
         w = int_echelon(row for meet in block_overlaps(a, partition) for _, row in meet)
-        _check_u(coeffs, block_rows, w, build_u_chain(a, partition).rows)
-        _check_u(coeffs, block_rows, w, int_echelon(u_vectors))
+        _check_u(a, partition, w, zero_set(a, build_u_chain(a, partition).rows))
+        _check_u(a, partition, w, zero_set(a, int_echelon(u_vectors)))
 
     def check_line_plus(self, extra):
         """Check U = the real line of ``A`` plus ``extra``."""
@@ -401,6 +407,32 @@ class TestChainStepCheck:
     def test_space_must_be_the_sum_of_its_block_meets(self):
         with pytest.raises(InternalError, match="not the sum of its block intersections"):
             self.check_line_plus((0, 0, 1, 1))
+
+
+class TestWitnessSubspaceChecksU:
+    """``witness_subspace`` asserts the four invariants on the chain it is given."""
+
+    def test_real_u_plus_a_form(self):
+        # U meets V_0 = span(forms 0, 3) in a hyperplane missing form 3, so
+        # U + form 3 holds all of V_0: block 0 fails before invariant 3, in
+        # the oracle's order as in ``_check_u``'s.
+        chain = build_u_chain(FOUR_LINES, VALID_BIPARTITION)
+        rows = int_echelon([row for _, row in chain.rows] + [FOUR_LINES.forms[3]])
+        block_rows = [int_rref(FOUR_LINES.forms[i] for i in b) for b in VALID_BIPARTITION]
+        expected = oracles.u_invariant_failure(FOUR_LINES.forms, block_rows, chain.w, rows)
+        assert expected == "block 0: U ∩ span(block) is not a hyperplane of the block span"
+        with pytest.raises(InternalError, match="block 0: .* not a hyperplane"):
+            witness_subspace(UChain(FOUR_LINES, VALID_BIPARTITION, rows, chain.w))
+
+    def test_a_form_in_u_of_the_real_rank(self):
+        # U = span{e0} has the real U's rank, so Y has dimension m + p, and
+        # every block meet is a hyperplane, but form 3 lies in U.
+        a, partition = TestChainStepCheck.A, TestChainStepCheck.PARTITION
+        chain = build_u_chain(a, partition)
+        rows = int_echelon([(1, 0, 0, 0)])
+        assert len(rows) == len(chain.rows)
+        with pytest.raises(InternalError, match="a form of the arrangement lies in U"):
+            witness_subspace(UChain(a, partition, rows, chain.w))
 
 
 class TestWitnessSubspace:
