@@ -29,23 +29,33 @@ complement does not span the forms.  So s comes from either side:
   to rank k - 1, where any column it pulls in closes a circuit.
 
 Both run on ``_closed_with``, the closure step of the finiteness verdict,
-not on the partition search's ``_close``.  ``dual_is_shallower`` searches
-the columns when k <= rank - 4.  The rule follows these in-process
-seconds for s, the best of three runs (2 vCPUs, Python 3.11.7), on
-``hyparc generate`` inputs:
+not on the partition search's ``_close``.  ``_smallest_circuit`` tests a
+take against the best bound before it pays for the closure;
+``_largest_hyperplane`` has nothing to test, as a take leaves its reach,
+the flat plus the undecided vectors, as it was.  ``dual_is_shallower``
+searches the columns when k <= rank - 4.  The rule follows these
+in-process seconds for s, the best of six runs (2 vCPUs, Python 3.11.7),
+on ``hyparc generate`` inputs:
 
-=================================  ====  ==  ======  =====
-input                              rank  k   primal  dual
-=================================  ====  ==  ======  =====
-``general_position -n 8 -r 16``    9     7   0.30    0.54
-``random -n 7 -r 16 --seed 3``     8     8   0.12    0.24
-``random -n 7 -r 15``              8     7   0.14    0.34
-``general_position -n 9 -r 16``    10    6   0.28    0.27
-``random -n 8 -r 14 --seed 2``     9     5   0.045   0.028
-``random -n 10 -r 16``             11    5   0.24    0.12
-``general_position -n 12 -r 19``   13    6   1.07    0.50
-``random -n 12 -r 20``             13    7   4.2     3.4
-=================================  ====  ==  ======  =====
+=====================================  ====  ==  ======  =====
+input                                  rank  k   primal  dual
+=====================================  ====  ==  ======  =====
+``general_position -n 8 -r 16``        9     7   0.17    0.19
+``random -n 7 -r 16 --seed 3``         8     8   0.071   0.093
+``random -n 7 -r 15``                  8     7   0.076   0.13
+``general_position -n 9 -r 17``        10    7   0.53    0.42
+``random -n 9 -r 17 --seed 1``         10    7   0.18    0.29
+``general_position -n 9 -r 16``        10    6   0.14    0.070
+``random -n 8 -r 14 --seed 2``         9     5   0.024   0.006
+``random -n 10 -r 16``                 11    5   0.13    0.028
+``general_position -n 12 -r 19``       13    6   0.95    0.18
+``random -n 12 -r 20``                 13    7   2.7     1.0
+=====================================  ====  ==  ======  =====
+
+At k = rank - 3 (the rows with rank 10 and k 7 are two of ten such
+inputs, best of three) the columns won on eight and lost on two, among
+them the slowest, ``random -n 10 -r 19`` (1.6 s primal, 1.7 s dual), so
+the rule stays at rank - 4.
 
 The partition search applies the same rule to each matroid component,
 with that component's rank and relation count, for its bound c(i).
@@ -279,6 +289,12 @@ def _smallest_circuit(relations: Sequence[Sequence[int]], size: int) -> int:
     takes c_1 .. c_g-1 pulls c_g in at the last take, from |T| = g - 2,
     unless an earlier take already recorded as little.  A branch stops when
     |T| + 2 is no smaller than the best found.
+
+    Both steps are decided before the closure.  The residuals are
+    primitive up to sign (``primitive_vector``, ``int_residual``), and e's
+    residual reduces to zero by u's exactly when it is ± u's, so comparing
+    them is the test "u pulls e in".  Otherwise the child's first test is
+    |T| + 3 < best, and u is closed only to descend when that holds.
     """
     columns = [tuple(lam[i] for lam in relations) for i in range(size)]
     if not all(any(col) for col in columns):
@@ -290,10 +306,12 @@ def _smallest_circuit(relations: Sequence[Sequence[int]], size: int) -> int:
         while undecided and level + 2 < best:
             u = (undecided & -undecided).bit_length() - 1
             undecided ^= 1 << u  # taken below, then skipped by the loop
-            _, grown = _closed_with(0, outside, u, 0)
-            if len(grown) < len(outside) - 1:  # u pulled another column in
-                best = level + 2
-            else:
+            row = outside[u]
+            neg = tuple(-x for x in row)
+            if any(res == row or res == neg for e, res in outside.items() if e != u):
+                best = level + 2  # u pulls another column in
+            elif level + 3 < best:
+                _, grown = _closed_with(0, outside, u, 0)
                 dfs(grown, undecided, level + 1)
 
     dfs({e: primitive_vector(col) for e, col in enumerate(columns)}, (1 << size) - 1, 0)

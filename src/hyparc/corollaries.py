@@ -45,7 +45,9 @@ def _clopen_split(
 
     The highest undecided form joins A or B, and that side is closed again;
     a branch dies when the closure reaches the other side, or when a side
-    holds more than ``cap`` forms.
+    holds more than ``cap`` forms.  A side is closed only while it holds
+    fewer than ``cap`` forms: its closure with u holds it and u, so from
+    ``cap`` forms on the child would die on its first test.
     """
     if a_side.bit_count() > cap or b_side.bit_count() > cap:
         return False
@@ -53,11 +55,11 @@ def _clopen_split(
     if not undecided:
         return b_side != 0
     u = undecided.bit_length() - 1
-    grown = _closed_with(a_side, a_out, u, b_side)
-    if grown is not None and _clopen_split(full, cap, *grown, b_side, b_out):
+    grown = a_side.bit_count() < cap and _closed_with(a_side, a_out, u, b_side)
+    if grown and _clopen_split(full, cap, *grown, b_side, b_out):
         return True
-    grown = _closed_with(b_side, b_out, u, a_side)
-    return grown is not None and _clopen_split(full, cap, a_side, a_out, *grown)
+    grown = b_side.bit_count() < cap and _closed_with(b_side, b_out, u, a_side)
+    return bool(grown) and _clopen_split(full, cap, a_side, a_out, *grown)
 
 
 def finiteness_verdict(a: Arrangement) -> bool:

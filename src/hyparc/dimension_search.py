@@ -124,6 +124,17 @@ undecided.  So the path pulls i in, or dies on i, by rank |C| - 1, at a
 take from |T| <= |C| - 2 that gives i its bound before the step.  A branch
 stops once no column outside its flat can get a bound below its current
 one, since every later take records |T| + 2 or more.
+
+Test before closing.  Each closure search here tests, before it closes a
+side with u, the condition the child would test on entry, on a superset of
+what the child reads, and skips the closure when the child would return at
+once.  ``_splits`` closes A with u only when ``keep`` accepts A + u: the
+closure holds A + u, and ``keep`` rejects every superset of a set it
+rejects.  ``_smallest_dual_circuits`` takes u only when a column other than
+u outside the flat of T still has a bound above |T| + 3: the columns
+outside the child's flat are some of those, and its entry test asks for
+one with a bound above |T + u| + 2.  Neither test reads anything that
+changes between the test and the child's entry.
 """
 
 from __future__ import annotations
@@ -320,8 +331,10 @@ def _splits(
     side B, that side is closed again, and a branch dies when the two
     closures meet or when ``keep`` rejects side A.  Sides only grow, so a
     rejected A rejects its whole branch as long as ``keep`` only tightens.
-    Trying A first yields the sides A in decreasing order of their
-    indicator strings read from form 0.
+    So A is closed with u only when ``keep`` accepts A + u: the closure
+    holds A + u, and ``keep`` cannot change before the child tests it, as
+    nothing is yielded in between.  Trying A first yields the sides A in
+    decreasing order of their indicator strings read from form 0.
     """
     if not keep(a):
         return
@@ -330,7 +343,7 @@ def _splits(
         yield a
         return
     u = _low(undecided)
-    grown = _close(a, a_out, u, b)
+    grown = keep(a | 1 << u) and _close(a, a_out, u, b)
     if grown:
         yield from _splits(full, *grown, b, b_out, keep)
     grown = _close(b, b_out, u, a)
@@ -400,7 +413,8 @@ def _smallest_dual_circuits(relations: list[tuple[int, ...]], k: int) -> list[in
     skipped, and a branch dies when the closure takes in a skipped column.
     Before each take, when two or more columns have residuals ± that of u,
     skipped ones included, each of them gets the bound |T| + 2.  The module
-    docstring proves the bounds exact.
+    docstring proves the bounds exact, and why u is taken only while a
+    column other than u can still get a bound below the current one.
     """
     corank = len(relations)
     columns = [tuple(lam[i] for lam in relations) for i in range(k)]
@@ -422,9 +436,11 @@ def _smallest_dual_circuits(relations: list[tuple[int, ...]], k: int) -> list[in
         if len(same) > 1:
             for e in same:
                 smallest[e] = min(smallest[e], rank + 2)
-        grown = _close(flat, outside, u, skipped)
-        if grown:
-            dfs(*grown, skipped, rank + 1)
+        # the child's entry test, on a superset of its ``outside``
+        if any(smallest[e] > rank + 3 for e in outside if e != u):
+            grown = _close(flat, outside, u, skipped)
+            if grown:
+                dfs(*grown, skipped, rank + 1)
         dfs(flat, outside, skipped | 1 << u, rank)
 
     dfs(0, nonzero, 0, 0)
@@ -539,12 +555,16 @@ def max_valid_parts(a: Arrangement) -> tuple[Optional[int], Optional[Blocks]]:
     least restricted-growth string among the valid partitions with the
     maximal block count.  Each matroid component contributes its own
     lexicographically least maximum partition into clopen sets (module
-    docstring).  Refuses above ``BIPARTITION_SCAN_LIMIT`` forms.
+    docstring); a coloop, a component of one form, is its own block and
+    needs no cover.  Refuses above ``BIPARTITION_SCAN_LIMIT`` forms.
     """
     refuse_above_scan_limit(a, "partition search")
     blocks = []
     for comp in _components(a):
         forms = [i for i in range(a.r) if comp >> i & 1]
+        if not comp & (comp - 1):  # a coloop is a singleton block
+            blocks.append(tuple(forms))
+            continue
         relations = [tuple(lam[i] for i in forms) for p, lam in a.relations if comp >> p & 1]
         for block in blocks_of(_max_cover([a.forms[i] for i in forms], relations)):
             blocks.append(tuple(forms[i] for i in block))

@@ -53,8 +53,8 @@ the arrangement's primitive integer rows, and W and U are integer echelon
 rows of ``exact_linalg``: the p overlaps are the ``int_rref`` rows of the
 block sums of the relations.  Y is one ``int_nullspace`` of U, put in
 ``int_rref`` form once, and the invariants are checked with dot products
-on its rows, the restrictions and one rank, so the check does not rerun
-the construction.
+on its rows, the restrictions' classes, which the certificate reads too,
+and one rank, so the check does not rerun the construction.
 Where a result depends on the basis and not just on the space, the basis
 is canonical: the moment-curve walk in
 ``generic_avoiding_extension`` reads the ``int_rref`` rows of the overlap
@@ -121,11 +121,15 @@ class WitnessSubspace:
     ``point_basis`` holds the ``int_rref`` rows of Y's points: row q stands
     for the canonical RREF row q / q[pivot], and ``restrictions`` gives each
     form on those RREF rows, all scaled by one positive integer.
+    ``form_classes`` gives each form's restriction class, the
+    ``primitive_vector`` of its restriction, or None where the form
+    vanishes on Y; the verification and ``_check_u`` both read it.
     """
 
     point_basis: tuple[tuple[int, ...], ...]
     dim: int
     restrictions: tuple[tuple[int, ...], ...]
+    form_classes: tuple[Optional[tuple[int, ...]], ...]
     verification: CondCheck
 
 
@@ -155,8 +159,8 @@ def _restrictions(points: IntRows, coeffs: Sequence[Sequence[int]]) -> list[tupl
     return [tuple(sum(x * y for x, y in zip(f, row)) for row in scaled) for f in coeffs]
 
 
-def _cond_check(restrictions: Sequence[Sequence[int]]) -> CondCheck:
-    vanishing = next((i for i, rho in enumerate(restrictions) if not any(rho)), None)
+def _cond_check(form_classes: Sequence[Optional[tuple[int, ...]]]) -> CondCheck:
+    vanishing = next((i for i, cls in enumerate(form_classes) if cls is None), None)
     if vanishing is not None:
         return CondCheck(
             ok=False,
@@ -167,8 +171,8 @@ def _cond_check(restrictions: Sequence[Sequence[int]]) -> CondCheck:
             diagnostics=f"contained in arrangement: form {vanishing} vanishes on Y",
         )
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, rho in enumerate(restrictions):
-        groups.setdefault(primitive_vector(rho), []).append(i)
+    for i, cls in enumerate(form_classes):
+        groups.setdefault(cls, []).append(i)
     classes = tuple(
         sorted(((cls, tuple(idxs)) for cls, idxs in groups.items()), key=lambda c: c[1])
     )
@@ -187,11 +191,13 @@ def _witness(a: Arrangement, point_rows: Sequence[Sequence[int]]) -> WitnessSubs
     """Normalize an integer point parametrization and attach its verification record."""
     points = int_rref(point_rows)
     restrictions = tuple(_restrictions(points, a.forms))
+    form_classes = tuple(primitive_vector(rho) if any(rho) else None for rho in restrictions)
     return WitnessSubspace(
         point_basis=tuple(_plain(points)),
         dim=len(points) - 1,
         restrictions=restrictions,
-        verification=_cond_check(restrictions),
+        form_classes=form_classes,
+        verification=_cond_check(form_classes),
     )
 
 
@@ -301,13 +307,13 @@ def _check_u(a: Arrangement, partition: Blocks, w: IntRows, y: WitnessSubspace) 
         not any(sum(map(mul, b, q)) for _, b in w for q in y.point_basis),
         "separation space W not contained in U",
     )
-    rho = y.restrictions
+    classes = y.form_classes
     for j, block in enumerate(partition):
         _assert(
-            len({primitive_vector(rho[i]) for i in block if any(rho[i])}) == 1,
+            len({classes[i] for i in block} - {None}) == 1,
             f"block {j}: U ∩ span(block) is not a hyperplane of the block span",
         )
-    _assert(all(map(any, rho)), "a form of the arrangement lies in U")
+    _assert(None not in classes, "a form of the arrangement lies in U")
     _assert(
         y.dim == a.n - int_rank(a.forms) + len(partition),
         "U is not the sum of its block intersections",
@@ -348,10 +354,10 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
 def witness_subspace(chain: UChain) -> WitnessSubspace:
     """Y = zero set of U, verified.
 
-    Y's ``int_rref`` rows and the restrictions to them are computed once.
-    The four invariants on U are asserted on them, and then Y's dimension
-    m + p and the certificate ``_cond_check`` records; any failure is an
-    internal error.
+    Y's ``int_rref`` rows, the restrictions to them and their classes are
+    computed once.  The four invariants on U are asserted on them, and then
+    Y's dimension m + p and the certificate ``_cond_check`` records; any
+    failure is an internal error.
     """
     a = chain.arrangement
     y = _witness(a, _plain(int_nullspace(_plain(chain.rows), a.n + 1)))

@@ -3,16 +3,18 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyparc import cli, dimension_search
+from hyparc import arrangement, cli, corollaries, dimension_search
 from hyparc.arrangement import (
     BIPARTITION_SCAN_LIMIT,
     RefusedError,
     _closed_with,
+    _smallest_circuit,
     is_general_position,
     load,
 )
@@ -498,6 +500,67 @@ def test_hyperbolic_search_needs_no_cocircuit_bound(monkeypatch):
     monkeypatch.setattr(dimension_search, "_smallest_dual_circuits", unneeded)
     for n in range(2, 6):
         assert max_valid_parts(moment_curve_arrangement(n, 2 * n + 1)) == (None, None)
+
+
+def count_closures(monkeypatch) -> dict[str, list]:
+    """Record the side each closure kernel is called on, per kernel.
+
+    Wraps ``dimension_search._close`` and ``arrangement._closed_with``;
+    ``corollaries`` imports ``_closed_with`` by name, so it is wrapped there
+    too.
+    """
+    sides: dict[str, list] = {"_close": [], "_closed_with": []}
+
+    def counted(name, kernel):
+        def wrapper(side, *args):
+            sides[name].append(side)
+            return kernel(side, *args)
+        return wrapper
+
+    closed_with = counted("_closed_with", _closed_with)
+    monkeypatch.setattr(dimension_search, "_close", counted("_close", _close))
+    monkeypatch.setattr(arrangement, "_closed_with", closed_with)
+    monkeypatch.setattr(corollaries, "_closed_with", closed_with)
+    return sides
+
+
+@pytest.mark.parametrize("n, r", [(4, 7), (6, 10), (7, 12), (8, 14)])
+def test_dual_searches_close_no_branch_their_bound_decides(monkeypatch, n, r):
+    """Both dual searches close exactly the sets of 1 to k - 2 columns.
+
+    The k = r - n - 1 relation columns of a moment curve are in general
+    position, so every circuit has k + 1 columns and no take pulls a column
+    in below rank k.  Every bound stays k + 1, which a set T of k - 2
+    columns or more cannot beat, since its child records |T| + 3 or more:
+    the children of those sets return at once, and their closures are
+    skipped.
+    """
+    sides = count_closures(monkeypatch)
+    a = moment_curve_arrangement(n, r)
+    k = len(a.relations)
+    assert k == r - n - 1
+    relations = [lam for _, lam in a.relations]
+    closures = sum(comb(r, j) for j in range(1, k - 1))
+    assert _smallest_circuit(relations, r) == k + 1
+    assert len(sides["_closed_with"]) == closures
+    assert _smallest_dual_circuits(relations, r) == [k + 1] * r
+    assert len(sides["_close"]) == closures
+
+
+@pytest.mark.parametrize("n, r", [(3, 6), (4, 7), (4, 8), (5, 9), (5, 10)])
+def test_verdict_closes_no_side_at_its_cap(monkeypatch, n, r):
+    """The finiteness search never closes a side that holds s forms already.
+
+    Its closure would hold s + 1 forms, more than the cap, and the child
+    would die on its first test.  The moment curves here have r <= 2s, so
+    the search runs and fills a side up to the cap.
+    """
+    sides = count_closures(monkeypatch)
+    a = moment_curve_arrangement(n, r)
+    assert a.m == -1 and a.r <= 2 * a.s
+    assert not corollaries.finiteness_verdict(a)
+    assert sides["_closed_with"]
+    assert max(side.bit_count() for side in sides["_closed_with"]) < a.s
 
 
 def test_search_leaves_no_reference_cycles():
