@@ -30,7 +30,8 @@ complement does not span the forms.  So s comes from either side:
 
 Both run on ``_closed_with``, the closure step of the finiteness verdict,
 not on the partition search's ``_close``.  ``_smallest_circuit`` tests a
-take against the best bound before it pays for the closure;
+take against the best bound and the columns left undecided before it pays
+for the closure;
 ``_largest_hyperplane`` has nothing to test, as a take leaves its reach,
 the flat plus the undecided vectors, as it was.  ``dual_is_shallower``
 searches the columns when k <= rank - 4.  The rule follows these
@@ -293,8 +294,9 @@ def _smallest_circuit(relations: Sequence[Sequence[int]], size: int) -> int:
     Both steps are decided before the closure.  The residuals are
     primitive up to sign (``primitive_vector``, ``int_residual``), and e's
     residual reduces to zero by u's exactly when it is ± u's, so comparing
-    them is the test "u pulls e in".  Otherwise the child's first test is
-    |T| + 3 < best, and u is closed only to descend when that holds.
+    them is the test "u pulls e in".  Otherwise the child's first tests are
+    an undecided column and |T| + 3 < best, and u is closed only to descend
+    when both hold.
     """
     columns = [tuple(lam[i] for lam in relations) for i in range(size)]
     if not all(any(col) for col in columns):
@@ -310,7 +312,7 @@ def _smallest_circuit(relations: Sequence[Sequence[int]], size: int) -> int:
             neg = tuple(-x for x in row)
             if any(res == row or res == neg for e, res in outside.items() if e != u):
                 best = level + 2  # u pulls another column in
-            elif level + 3 < best:
+            elif undecided and level + 3 < best:
                 _, grown = _closed_with(0, outside, u, 0)
                 dfs(grown, undecided, level + 1)
 

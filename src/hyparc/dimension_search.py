@@ -130,11 +130,13 @@ side with u, the condition the child would test on entry, on a superset of
 what the child reads, and skips the closure when the child would return at
 once.  ``_splits`` closes A with u only when ``keep`` accepts A + u: the
 closure holds A + u, and ``keep`` rejects every superset of a set it
-rejects.  ``_smallest_dual_circuits`` takes u only when a column other than
-u outside the flat of T still has a bound above |T| + 3: the columns
-outside the child's flat are some of those, and its entry test asks for
-one with a bound above |T + u| + 2.  Neither test reads anything that
-changes between the test and the child's entry.
+rejects; it closes B only when ``keep`` still accepts A.
+``_smallest_dual_circuits`` takes u only when a column other than u is
+undecided, and one outside the flat of T has a bound above |T| + 3: the
+child's undecided columns and those outside its flat are among these, and
+its entry tests ask for one undecided and for one outside with a bound
+above |T + u| + 2.  No test reads anything that changes between the test
+and the child's entry.
 """
 
 from __future__ import annotations
@@ -331,10 +333,11 @@ def _splits(
     side B, that side is closed again, and a branch dies when the two
     closures meet or when ``keep`` rejects side A.  Sides only grow, so a
     rejected A rejects its whole branch as long as ``keep`` only tightens.
-    So A is closed with u only when ``keep`` accepts A + u: the closure
-    holds A + u, and ``keep`` cannot change before the child tests it, as
-    nothing is yielded in between.  Trying A first yields the sides A in
-    decreasing order of their indicator strings read from form 0.
+    So A is closed with u only when ``keep`` accepts A + u, and B only when
+    it still accepts A: the A child's side holds A + u, and ``keep`` cannot
+    change before the child tests it, as nothing is yielded in between.
+    Trying A first yields the sides A in decreasing order of their
+    indicator strings read from form 0.
     """
     if not keep(a):
         return
@@ -346,7 +349,7 @@ def _splits(
     grown = keep(a | 1 << u) and _close(a, a_out, u, b)
     if grown:
         yield from _splits(full, *grown, b, b_out, keep)
-    grown = _close(b, b_out, u, a)
+    grown = keep(a) and _close(b, b_out, u, a)
     if grown:
         yield from _splits(full, a, a_out, *grown, keep)
 
@@ -436,8 +439,8 @@ def _smallest_dual_circuits(relations: list[tuple[int, ...]], k: int) -> list[in
         if len(same) > 1:
             for e in same:
                 smallest[e] = min(smallest[e], rank + 2)
-        # the child's entry test, on a superset of its ``outside``
-        if any(smallest[e] > rank + 3 for e in outside if e != u):
+        # the child's entry tests, on supersets of its ``outside`` and ``undecided``
+        if undecided & ~(1 << u) and any(smallest[e] > rank + 3 for e in outside if e != u):
             grown = _close(flat, outside, u, skipped)
             if grown:
                 dfs(*grown, skipped, rank + 1)

@@ -49,12 +49,11 @@ finitely many t, so the walk terminates and the output is reproducible.
 
 Arithmetic.  Everything here is integer; every function takes integer
 rows, and rational input ends at ``arrangement.load``.  The forms are
-the arrangement's primitive integer rows, and W and U are integer echelon
-rows of ``exact_linalg``: the p overlaps are the ``int_rref`` rows of the
-block sums of the relations.  Y is one ``int_nullspace`` of U, put in
-``int_rref`` form once, and the invariants are checked with dot products
-on its rows, the restrictions' classes, which the certificate reads too,
-and one rank, so the check does not rerun the construction.
+the arrangement's primitive integer rows, and W is integer echelon rows
+of ``exact_linalg``.  U is never eliminated: Y is one ``int_nullspace`` of
+W's rows and the block kernel rows, put in ``int_rref`` form once, and
+the invariants are checked with dot products on its rows, the
+restrictions' classes, which the certificate reads too, and one rank.
 Where a result depends on the basis and not just on the space, the basis
 is canonical: the moment-curve walk in
 ``generic_avoiding_extension`` reads the ``int_rref`` rows of the overlap
@@ -92,13 +91,14 @@ from .exact_linalg import (
 class UChain:
     """The covector space U = W + H_1 + ... + H_p for one valid partition.
 
-    ``rows`` holds U and ``w`` the separation space W, both as integer
-    echelon rows; ``witness_subspace`` checks U against W.
+    ``rows`` spans U as plain integer vectors: W's rows, then each block's
+    kernel rows.  ``w`` holds W's echelon rows, which ``witness_subspace``
+    checks U against.
     """
 
     arrangement: Arrangement
     partition: Blocks
-    rows: IntRows
+    rows: list[tuple[int, ...]]
     w: IntRows
 
 
@@ -109,7 +109,6 @@ class CondCheck:
     ok: bool
     not_contained: bool  # no form restricts to zero on Y
     independent: bool  # distinct restriction classes are independent
-    vanishing_form: Optional[int]
     classes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     diagnostics: str
 
@@ -119,16 +118,14 @@ class WitnessSubspace:
     """A projective subspace Y parametrized by an echelon point basis.
 
     ``point_basis`` holds the ``int_rref`` rows of Y's points: row q stands
-    for the canonical RREF row q / q[pivot], and ``restrictions`` gives each
-    form on those RREF rows, all scaled by one positive integer.
-    ``form_classes`` gives each form's restriction class, the
-    ``primitive_vector`` of its restriction, or None where the form
-    vanishes on Y; the verification and ``_check_u`` both read it.
+    for the canonical RREF row q / q[pivot].  ``form_classes`` gives each
+    form's restriction class, the ``primitive_vector`` of its restriction
+    to those RREF rows, or None where the form vanishes on Y; the
+    verification and ``_check_u`` both read it.
     """
 
     point_basis: tuple[tuple[int, ...], ...]
     dim: int
-    restrictions: tuple[tuple[int, ...], ...]
     form_classes: tuple[Optional[tuple[int, ...]], ...]
     verification: CondCheck
 
@@ -166,7 +163,6 @@ def _cond_check(form_classes: Sequence[Optional[tuple[int, ...]]]) -> CondCheck:
             ok=False,
             not_contained=False,
             independent=False,
-            vanishing_form=vanishing,
             classes=(),
             diagnostics=f"contained in arrangement: form {vanishing} vanishes on Y",
         )
@@ -181,7 +177,6 @@ def _cond_check(form_classes: Sequence[Optional[tuple[int, ...]]]) -> CondCheck:
         ok=independent,
         not_contained=True,
         independent=independent,
-        vanishing_form=None,
         classes=classes,
         diagnostics="" if independent else "restriction classes are dependent",
     )
@@ -190,12 +185,11 @@ def _cond_check(form_classes: Sequence[Optional[tuple[int, ...]]]) -> CondCheck:
 def _witness(a: Arrangement, point_rows: Sequence[Sequence[int]]) -> WitnessSubspace:
     """Normalize an integer point parametrization and attach its verification record."""
     points = int_rref(point_rows)
-    restrictions = tuple(_restrictions(points, a.forms))
-    form_classes = tuple(primitive_vector(rho) if any(rho) else None for rho in restrictions)
+    rhos = _restrictions(points, a.forms)
+    form_classes = tuple(primitive_vector(rho) if any(rho) else None for rho in rhos)
     return WitnessSubspace(
         point_basis=tuple(_plain(points)),
         dim=len(points) - 1,
-        restrictions=restrictions,
         form_classes=form_classes,
         verification=_cond_check(form_classes),
     )
@@ -326,11 +320,8 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
     W is the sum of the block overlaps; a partition with a form in W is
     rejected.  Block j's step extends its overlap to a hyperplane H_j of the
     block span V_j missing every form of the block, so the steps do not
-    depend on each other.  U's rank must equal (n+1) - (d+1) with d = m + p,
-    which ties m, read off the relations, to this elimination; a failure is
-    an internal error, since the construction provably succeeds on valid
-    partitions.  W is kept on the chain for ``witness_subspace``, which
-    asserts the four invariants.
+    depend on each other.  W is kept on the chain for ``witness_subspace``,
+    which asserts the four invariants and Y's dimension.
     """
     validate_partition(a, partition)
     coeffs = a.forms
@@ -341,14 +332,11 @@ def build_u_chain(a: Arrangement, partition: Blocks) -> UChain:
         raise ValueError(f"partition fails the separation criterion (form {violating})")
     # The walk reads canonical bases, so each H_j depends on the spaces alone.
     # W holds each overlap, so adding the kernels adds the hyperplanes.
-    kernels: list[tuple[int, ...]] = []
+    rows = _plain(w)
     for block, overlap in zip(partition, overlaps):
         block_forms = [coeffs[i] for i in block]
-        kernels += generic_avoiding_extension(int_rref(block_forms), overlap, block_forms)
-    u = int_echelon(_plain(w) + kernels)
-    d = a.m + len(partition)
-    _assert(len(u) == a.n - d, f"U has rank {len(u)}, expected {a.n - d}")
-    return UChain(arrangement=a, partition=partition, rows=u, w=w)
+        rows += generic_avoiding_extension(int_rref(block_forms), overlap, block_forms)
+    return UChain(arrangement=a, partition=partition, rows=rows, w=w)
 
 
 def witness_subspace(chain: UChain) -> WitnessSubspace:
@@ -356,11 +344,12 @@ def witness_subspace(chain: UChain) -> WitnessSubspace:
 
     Y's ``int_rref`` rows, the restrictions to them and their classes are
     computed once.  The four invariants on U are asserted on them, and then
-    Y's dimension m + p and the certificate ``_cond_check`` records; any
-    failure is an internal error.
+    Y's dimension n - rank U = m + p, which ties m, read off the relations,
+    to this elimination, and the certificate ``_cond_check`` records.  Any
+    failure is an internal error: the construction provably succeeds.
     """
     a = chain.arrangement
-    y = _witness(a, _plain(int_nullspace(_plain(chain.rows), a.n + 1)))
+    y = _witness(a, _plain(int_nullspace(chain.rows, a.n + 1)))
     _check_u(a, chain.partition, chain.w, y)
     d = a.m + len(chain.partition)
     _assert(y.dim == d, f"witness has dimension {y.dim}, expected {d}")

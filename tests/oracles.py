@@ -267,16 +267,20 @@ def sequential_u_chain(a: Arrangement, partition: Blocks) -> Subspace:
 
 
 def u_invariant_failure(
-    coeffs: Sequence[Sequence[int]], block_rows: Sequence[IntRows], w: IntRows, u: IntRows
+    coeffs: Sequence[Sequence[int]],
+    block_rows: Sequence[IntRows],
+    w: IntRows,
+    u: Sequence[Sequence[int]],
 ) -> Optional[str]:
     """The message of the first invariant U fails, in ``witness._check_u``'s order, or None.
 
-    Each invariant is read off its definition: W ⊆ U; each meet U ∩ V_j,
+    ``u`` holds rows that span U, as ``UChain.rows`` does.  Each invariant
+    is read off its definition: W ⊆ U; each meet U ∩ V_j,
     a ``Fraction`` intersection, is a hyperplane of V_j; no form lies in U;
     U is the sum of the meets.
     """
     width = len(coeffs[0])
-    u_space = span([row for _, row in u], width)
+    u_space = span(u, width)
     if not all(contains(u_space, row) for _, row in w):
         return "separation space W not contained in U"
     meets = []

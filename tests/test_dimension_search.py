@@ -526,25 +526,47 @@ def count_closures(monkeypatch) -> dict[str, list]:
 
 @pytest.mark.parametrize("n, r", [(4, 7), (6, 10), (7, 12), (8, 14)])
 def test_dual_searches_close_no_branch_their_bound_decides(monkeypatch, n, r):
-    """Both dual searches close exactly the sets of 1 to k - 2 columns.
+    """Both dual searches close exactly the sets of 1 to k - 2 columns
+    that leave a column undecided.
 
     The k = r - n - 1 relation columns of a moment curve are in general
     position, so every circuit has k + 1 columns and no take pulls a column
     in below rank k.  Every bound stays k + 1, which a set T of k - 2
     columns or more cannot beat, since its child records |T| + 3 or more:
     the children of those sets return at once, and their closures are
-    skipped.
+    skipped.  So is the closure of a set that holds the last column, whose
+    child has no column left to take; the sets of j columns without it
+    number C(r - 1, j).
     """
     sides = count_closures(monkeypatch)
     a = moment_curve_arrangement(n, r)
     k = len(a.relations)
     assert k == r - n - 1
     relations = [lam for _, lam in a.relations]
-    closures = sum(comb(r, j) for j in range(1, k - 1))
+    closures = sum(comb(r - 1, j) for j in range(1, k - 1))
     assert _smallest_circuit(relations, r) == k + 1
     assert len(sides["_closed_with"]) == closures
     assert _smallest_dual_circuits(relations, r) == [k + 1] * r
     assert len(sides["_close"]) == closures
+
+
+def test_splits_close_no_side_once_keep_rejects_a(monkeypatch):
+    """A yield that tightens ``keep`` against A stops the closures below A.
+
+    Here ``keep`` rejects every side once the first is yielded, so each
+    child from then on would return at once, and no side is closed for it.
+    """
+    sides = count_closures(monkeypatch)
+    vecs = moment_curve_arrangement(3, 6).forms
+    everything = dict(enumerate(vecs))
+    stopped = []
+    splits = dimension_search._splits(
+        (1 << len(vecs)) - 1, 0, everything, 0, everything, lambda a: not stopped
+    )
+    stopped.append(next(splits))
+    closed = len(sides["_close"])
+    assert list(splits) == []
+    assert len(sides["_close"]) == closed
 
 
 @pytest.mark.parametrize("n, r", [(3, 6), (4, 7), (4, 8), (5, 9), (5, 10)])

@@ -195,7 +195,7 @@ def test_generic_avoiding_extension_on_random_inputs(case):
 
 def u_space(chain):
     """U as a canonical ``Fraction`` subspace."""
-    return span([row for _, row in chain.rows], chain.arrangement.n + 1)
+    return span(chain.rows, chain.arrangement.n + 1)
 
 
 def assert_chain_invariants(a, chain):
@@ -221,12 +221,6 @@ class TestUChain:
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
             build_u_chain(FOUR_LINES, ((0, 3), (1,), (2,)))
-
-    def test_rank_must_match_the_dimension(self):
-        a = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-        a.__dict__["m"] = 0  # one above the true m = -1, so d = 2 and n - d = 0
-        with pytest.raises(InternalError, match="U has rank 1, expected 0"):
-            build_u_chain(a, VALID_BIPARTITION)
 
     def test_random_valid_partitions(self):
         rng = random.Random(13)
@@ -299,8 +293,8 @@ def test_u_matches_the_sequential_fraction_chain(a):
 
 
 def zero_set(a, u):
-    """Y = Z(U) for the echelon rows ``u``, built as ``witness_subspace`` builds it."""
-    return _witness(a, [row for _, row in int_nullspace([row for _, row in u], a.n + 1)])
+    """Y = Z(U) for the rows ``u`` spanning U, built as ``witness_subspace`` builds it."""
+    return _witness(a, [row for _, row in int_nullspace(u, a.n + 1)])
 
 
 INVARIANT_OF = {
@@ -333,7 +327,7 @@ def check_u_outcomes(a, rng):
     for blocks in partitions_of(a):
         if not check_partition(a, blocks).valid:
             continue
-        real = [row for _, row in build_u_chain(a, blocks).rows]
+        real = build_u_chain(a, blocks).rows
         block_rows = [int_rref(coeffs[i] for i in b) for b in blocks]
         w = int_echelon(row for meet in block_overlaps(a, blocks) for _, row in meet)
         trials = [
@@ -342,7 +336,7 @@ def check_u_outcomes(a, rng):
             real + [small_row() for _ in range(rng.randint(1, 2))],
             [small_row() for _ in range(rng.randint(0, width))],
         ]
-        for u in map(int_echelon, trials):
+        for u in trials:
             expected = oracles.u_invariant_failure(coeffs, block_rows, w, u)
             try:
                 _check_u(a, blocks, w, zero_set(a, u))
@@ -382,11 +376,11 @@ class TestChainStepCheck:
         """Check U = span(u_vectors) for the partition; its real U passes."""
         w = int_echelon(row for meet in block_overlaps(a, partition) for _, row in meet)
         _check_u(a, partition, w, zero_set(a, build_u_chain(a, partition).rows))
-        _check_u(a, partition, w, zero_set(a, int_echelon(u_vectors)))
+        _check_u(a, partition, w, zero_set(a, u_vectors))
 
     def check_line_plus(self, extra):
         """Check U = the real line of ``A`` plus ``extra``."""
-        line = [row for _, row in build_u_chain(self.A, self.PARTITION).rows]
+        line = build_u_chain(self.A, self.PARTITION).rows
         assert len(line) == 1
         self.check(self.A, self.PARTITION, line + [extra])
 
@@ -417,7 +411,7 @@ class TestWitnessSubspaceChecksU:
         # U + form 3 holds all of V_0: block 0 fails before invariant 3, in
         # the oracle's order as in ``_check_u``'s.
         chain = build_u_chain(FOUR_LINES, VALID_BIPARTITION)
-        rows = int_echelon([row for _, row in chain.rows] + [FOUR_LINES.forms[3]])
+        rows = chain.rows + [FOUR_LINES.forms[3]]
         block_rows = [int_rref(FOUR_LINES.forms[i] for i in b) for b in VALID_BIPARTITION]
         expected = oracles.u_invariant_failure(FOUR_LINES.forms, block_rows, chain.w, rows)
         assert expected == "block 0: U ∩ span(block) is not a hyperplane of the block span"
@@ -429,7 +423,7 @@ class TestWitnessSubspaceChecksU:
         # every block meet is a hyperplane, but form 3 lies in U.
         a, partition = TestChainStepCheck.A, TestChainStepCheck.PARTITION
         chain = build_u_chain(a, partition)
-        rows = int_echelon([(1, 0, 0, 0)])
+        rows = [(1, 0, 0, 0)]
         assert len(rows) == len(chain.rows)
         with pytest.raises(InternalError, match="a form of the arrangement lies in U"):
             witness_subspace(UChain(a, partition, rows, chain.w))
@@ -451,6 +445,13 @@ class TestWitnessSubspace:
         w = witness_subspace(chain)
         assert w.dim == 3
         assert [cls for cls, _ in w.verification.classes] == list(a.forms)
+
+    def test_dimension_must_match_m(self):
+        # U is the real one, so its invariants hold; m alone is wrong.
+        a = load(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        a.__dict__["m"] = 0  # one above the true m = -1, so d = m + p = 2
+        with pytest.raises(InternalError, match="witness has dimension 1, expected 2"):
+            witness_subspace(build_u_chain(a, VALID_BIPARTITION))
 
 
 @settings(max_examples=100, deadline=None)
